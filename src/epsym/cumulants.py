@@ -69,6 +69,14 @@ class CumulantSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CumulantSpec":
+        if not isinstance(data, dict):
+            raise ValueError("cumulant table must be a JSON object")
+        for key in ("n", "kappas"):
+            if key not in data:
+                raise ValueError(f"cumulant table has no {key!r} key")
+        if not isinstance(data["kappas"], list) or not all(
+                isinstance(row, list) for row in data["kappas"]):
+            raise ValueError("'kappas' must be a list of rows, each a list")
         rows = [[parse_fraction(v) for v in row] for row in data["kappas"]]
         spec = cls.of(rows)
         if spec.n != data["n"]:
@@ -79,7 +87,10 @@ class CumulantSpec:
 def parse_fraction(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"fraction {text!r} has a zero denominator") from None
 
 
 def _format_fraction(v: Fraction) -> str:

@@ -13,6 +13,15 @@ happens at labels with pattern entry 1.  The admissible refinements of
 the kernel of ``i`` are the summation domain of the mixed
 moment-cumulant formula and the support of the indicator functional
 built in :mod:`epsym.indicator`.
+
+:func:`nc_eps_set` generates them directly rather than filtering all
+partitions: points are placed left to right, a point may join only an
+earlier block with its own label, and a join that would complete a
+crossing at pattern entry 0 is refused on the spot.  Trying joins in
+block order before opening a new block keeps restricted-growth order,
+so its list is exactly the admissible part of
+:func:`enumerate_partitions`, in the same order, at a cost that grows
+with the admitted set rather than with Bell(k).
 """
 
 from __future__ import annotations
@@ -296,13 +305,45 @@ def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: "EpsilonMatrix") -> bool:
 
 def nc_eps_set(i: Sequence[int], eps: "EpsilonMatrix",
                cat: Category = Category.ALL) -> list[SetPartition]:
-    """All partitions in the family admissible for the word ``i``."""
+    """All partitions in the family admissible for the word ``i``.
+
+    Generated point by point: point p joins an earlier block carrying
+    the label ``i[p]``, so every candidate refines ker i, and a join is
+    refused as soon as it completes a crossing between two blocks whose
+    labels have pattern entry 0 (two blocks with one label never cross,
+    since the diagonal is 0).  Joins are tried in block order before a
+    new block is opened, so the list comes out in restricted-growth
+    order.  The block-size rule of ``cat`` is applied to each finished
+    candidate.  The cost grows with the number of admissible refinements
+    of ker i, not with the Bell number of ``len(i)``.
+    """
     vals = tuple(i)
     for v in vals:
         if not 1 <= v <= eps.n:
             raise ValueError(f"index value {v} outside 1..{eps.n}")
-    return [pi for pi in enumerate_partitions(len(vals), cat)
-            if in_nc_eps(pi, vals, eps)]
+    # admissible placements of points 1..p-1; each state's extensions are
+    # appended in choice order, so the list stays in restricted-growth order
+    states: list[tuple[Block, ...]] = [()]
+    for p, v in enumerate(vals, start=1):
+        row = eps.row(v)
+        grown = []
+        for blocks in states:
+            for bi, b in enumerate(blocks):
+                if vals[b[0] - 1] == v and not any(
+                        row[vals[a[0] - 1] - 1] == 0 and _encloses(a, b)
+                        for a in blocks if a is not b):
+                    grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])
+            grown.append(blocks + ((p,),))
+        states = grown
+    out = (SetPartition(len(vals), blocks) for blocks in states)
+    return [pi for pi in out if cat.contains(pi)]
+
+
+def _encloses(a: Block, b: Block) -> bool:
+    # some point of b lies strictly between the first and last points of
+    # a; adding a point after both to b then completes a crossing of a
+    j = bisect_right(b, a[0])
+    return j < len(b) and b[j] < a[-1]
 
 
 def find_noncrossing_subpartition(

@@ -138,6 +138,62 @@ def blocks_cross_naive(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# admissible partitions by enumerate-and-filter over all Bell(k) partitions
+
+class _Owned:
+    """The two fields the literal crossing predicates read."""
+
+    def __init__(self, k, blocks):
+        self.k = k
+        own = [0] * k
+        for bi, b in enumerate(blocks):
+            for p in b:
+                own[p - 1] = bi
+        self.owner = tuple(own)
+
+
+_FAMILY_SIZES = {
+    "all": lambda s: True,
+    "pair": lambda s: s == 2,
+    "onetwo": lambda s: s in (1, 2),
+    "even": lambda s: s % 2 == 0,
+}
+
+
+@lru_cache(maxsize=None)
+def _rgs_ordered_partitions(k: int):
+    """Every partition of 1..k as canonical blocks (sorted by minimum,
+    ascending inside), sorted by restricted-growth string."""
+    canon = [tuple(sorted(tuple(sorted(b)) for b in part))
+             for part in insertion_partitions(k)]
+
+    def rgs(blocks):
+        word = [0] * k
+        for bi, b in enumerate(blocks):
+            for p in b:
+                word[p - 1] = bi
+        return tuple(word)
+
+    return tuple(sorted(canon, key=rgs))
+
+
+def naive_nc_eps_set(i, eps, cat) -> list[tuple[tuple[int, ...], ...]]:
+    """Blocks of every partition in family ``cat`` that refines ker i and
+    crosses only at pattern entry 1, in restricted-growth order."""
+    i = tuple(i)
+    size_ok = _FAMILY_SIZES[cat.value]
+    out = []
+    for blocks in _rgs_ordered_partitions(len(i)):
+        if any(len({i[p - 1] for p in b}) > 1 for b in blocks):
+            continue
+        if not all(size_ok(len(b)) for b in blocks):
+            continue
+        if naive_is_eps_noncrossing(_Owned(len(i), blocks), i, eps):
+            out.append(blocks)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # independent noncrossing enumeration by the first-block gap recursion
 
 def _subsets(items: tuple[int, ...]):

@@ -161,6 +161,19 @@ def test_malformed_eps_file_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "table", [{"n": 2}, [], {"n": 2, "kappas": 5},
+              {"n": 2, "kappas": [["1/0"], ["1"]]}],
+    ids=["no-kappas", "not-an-object", "rows-not-lists", "zero-denominator"])
+def test_malformed_kappa_file_exit_2(tmp_path, capsys, table):
+    bad = tmp_path / "kappa.json"
+    bad.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "moment", "--preset", "comm", "--n", "2",
+                             "--index", "1,2,1", "--kappa", f"file:{bad}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_determinism_byte_identical(capsys):
     args = ("tneps", "--preset", "ex-e", "--json")
     _, out1, _ = run_cli(capsys, *args)

@@ -196,6 +196,37 @@ def test_nc_eps_set_comm_factorises():
                 assert got == _comm_product_construction(i), i
 
 
+ORACLE_PATTERNS = [("comm", 1), ("comm", 2), ("comm", 3), ("free", 1),
+                   ("free", 2), ("free", 3), ("ex-d",), ("ex-e",), ("block", 2, 2)]
+
+
+@pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)
+@pytest.mark.parametrize("name", ORACLE_PATTERNS,
+                         ids=lambda p: "-".join(map(str, p)))
+def test_nc_eps_set_matches_filter_oracle(name, cat):
+    import itertools
+    eps = preset(*name)
+    for k in range(7):
+        for i in itertools.product(range(1, eps.n + 1), repeat=k):
+            got = [pi.blocks for pi in nc_eps_set(i, eps, cat)]
+            assert got == oracles.naive_nc_eps_set(i, eps, cat), i
+
+
+@st.composite
+def _long_words(draw):
+    name = draw(st.sampled_from(["ex-f", "cycle5", "trivial6"]))
+    eps = preset(name)
+    return eps, tuple(draw(st.lists(st.integers(1, eps.n), max_size=8)))
+
+
+@given(_long_words(), st.sampled_from(list(Category)))
+@settings(max_examples=150, deadline=None)
+def test_nc_eps_set_matches_filter_oracle_long_words(ei, cat):
+    eps, i = ei
+    got = [pi.blocks for pi in nc_eps_set(i, eps, cat)]
+    assert got == oracles.naive_nc_eps_set(i, eps, cat)
+
+
 def test_in_nc_eps_matches_definition():
     eps = preset("ex-d")
     i = (1, 2, 1, 2)
