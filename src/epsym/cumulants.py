@@ -85,6 +85,8 @@ class CumulantSpec:
 
 
 def parse_fraction(text) -> Fraction:
+    if isinstance(text, bool):  # bool is an int subclass; JSON true is no number
+        raise ValueError("a cumulant must be a number or a 'p/q' string, not a boolean")
     if isinstance(text, int):
         return Fraction(text)
     try:

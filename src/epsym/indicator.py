@@ -13,10 +13,12 @@ be assembled from elementary maps by a two-move reduction:
   pattern-gated swap on those legs.
 
 The reduction strictly shrinks or untangles the partition and ends when
-one removal consumes everything.  Composing the step maps yields a
-degree (k -> 0) map; the oracle check compares its values on all (or
-sampled) basis vectors against the independent combinatorial membership
-test.
+one removal consumes everything.  Each step acts on a window of adjacent
+legs, so the composition applies each step's core to that window of the
+running map's outputs (``TensorMap.on_legs``) instead of padding it with
+identities.  Composing the step maps yields a degree (k -> 0) map; the
+oracle check compares its values on all (or sampled) basis vectors
+against the independent combinatorial membership test.
 
 The move choices depend only on the partition, never on the pattern or
 the family, so a trace can be reused across patterns; the pattern enters
@@ -104,30 +106,20 @@ def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _step_map(step: Step, k_before: int, eps: EpsilonMatrix, n: int) -> TensorMap:
-    if step.case == 1:
-        sigma = step.sigma
-        core = t_pi(TwoRowPartition(sigma.k, 0, sigma), n)  # e_j -> [sigma <= ker j]
-        left, right = step.p - 1, k_before - step.q
-    else:
-        core = r_map("cross1", eps, n)
-        left, right = step.l - 1, k_before - step.l - 1
-    out = core
-    if left:
-        out = TensorMap.identity(n, left).tensor(out)
-    if right:
-        out = out.tensor(TensorMap.identity(n, right))
-    return out
-
-
 def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
-    """Materialise the composed step maps as one sparse (k -> 0) map."""
-    k = trace.initial.k
-    composed = TensorMap.identity(n, k)
-    cur_k = k
+    """Materialise the composed step maps as one sparse (k -> 0) map.
+
+    Each step's core acts on its own window of legs: the adjoint
+    spreading map of ``sigma`` on legs p..q, or the gated swap on legs
+    l, l+1."""
+    composed = TensorMap.identity(n, trace.initial.k)
     for step in trace.steps:
-        composed = _step_map(step, cur_k, trace.eps, n) @ composed
-        cur_k = step.points
+        if step.case == 1:
+            sigma = step.sigma
+            core = t_pi(TwoRowPartition(sigma.k, 0, sigma), n)  # e_j -> [sigma <= ker j]
+            composed = core.on_legs(step.p - 1, composed)
+        else:
+            composed = r_map("cross1", trace.eps, n).on_legs(step.l - 1, composed)
     return composed
 
 
@@ -197,7 +189,7 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
     checked = 0
     for i in indices:
         got = mp.scalar_at(i, ()) if mp is not None else evaluate_trace(trace, i)
-        want = Fraction(1 if in_nc_eps(pi, i, eps) else 0)
+        want = 1 if in_nc_eps(pi, i, eps) else 0
         checked += 1
         if got != want:
             return CheckReport(False, checked,

@@ -163,8 +163,10 @@ def test_malformed_eps_file_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "table", [{"n": 2}, [], {"n": 2, "kappas": 5},
-              {"n": 2, "kappas": [["1/0"], ["1"]]}],
-    ids=["no-kappas", "not-an-object", "rows-not-lists", "zero-denominator"])
+              {"n": 2, "kappas": [["1/0"], ["1"]]},
+              {"n": 2, "kappas": [[True], ["1"]]}],
+    ids=["no-kappas", "not-an-object", "rows-not-lists", "zero-denominator",
+         "boolean"])
 def test_malformed_kappa_file_exit_2(tmp_path, capsys, table):
     bad = tmp_path / "kappa.json"
     bad.write_text(json.dumps(table))

@@ -8,14 +8,59 @@ from hypothesis import given, settings
 from strategies import eps_matrices, rgs_partitions
 from epsym.cumulants import CumulantSpec
 from epsym.epsmat import preset
-from epsym.indicator import (MATERIALIZE_LIMIT, _step_map, compose_trace_map,
-                             definetti_identity_report, evaluate_trace,
-                             run_algorithm, verify_oracle)
-from epsym.partitions import (Category, SetPartition, enumerate_partitions,
-                              in_nc_eps, parse_partition)
+from epsym.indicator import (MATERIALIZE_LIMIT, AlgorithmTrace,
+                             compose_trace_map, definetti_identity_report,
+                             evaluate_trace, run_algorithm, verify_oracle)
+from epsym.partitions import (Category, SetPartition, TwoRowPartition,
+                              enumerate_partitions, in_nc_eps, parse_partition)
 from epsym.tensormaps import BAAR, TensorMap, r_map, t_pi
 
 FIGURE = parse_partition("{1,7,15}{2,5}{3,4}{6,10,16}{8,9}{11,13}{12,14}")
+
+
+# --- reference: every step as a materialised id x core x id map ---------------
+
+def padded_step_map(step, k_before, eps, n):
+    """One reduction step on all k_before legs, built from identity blocks,
+    ``tensor`` and nothing else: the core is the adjoint spreading map of
+    sigma on legs p..q, or the gated swap on legs l, l+1."""
+    if step.case == 1:
+        core = t_pi(TwoRowPartition(step.sigma.k, 0, step.sigma), n)
+        left, right = step.p - 1, k_before - step.q
+    else:
+        core = r_map("cross1", eps, n)
+        left, right = step.l - 1, k_before - step.l - 1
+    return TensorMap.identity(n, left).tensor(core).tensor(
+        TensorMap.identity(n, right))
+
+
+def padded_trace_map(trace, n):
+    """The composed step maps by the generic ``@``, one padded step at a
+    time: the differential reference for ``compose_trace_map``."""
+    k = trace.initial.k
+    composed = TensorMap.identity(n, k)
+    for step in trace.steps:
+        composed = padded_step_map(step, k, trace.eps, n) @ composed
+        k = step.points
+    return composed
+
+
+PADDED_PATTERNS = {"comm3": preset("comm", 3), "free3": preset("free", 3),
+                   "ex-d": preset("ex-d"), "ex-e": preset("ex-e"),
+                   "ex-f": preset("ex-f")}
+
+
+@pytest.mark.parametrize("name", list(PADDED_PATTERNS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_compose_trace_map_matches_padded_composition(name, n):
+    eps = PADDED_PATTERNS[name]
+    for k in range(6):
+        for pi in enumerate_partitions(k):
+            trace, _ = run_algorithm(pi, eps, Category.ALL, n)
+            got = compose_trace_map(trace, n)
+            assert got == padded_trace_map(trace, n), (name, n, pi)
+            assert all(type(c) is int for row in got.rows.values()
+                       for c in row.values())
 
 
 def test_single_pair_is_the_pair_contraction():
@@ -123,11 +168,12 @@ def test_swap_step_map_embeds_the_gated_swap():
     trace, _ = run_algorithm(pi, eps, Category.ALL, 3)
     st = trace.steps[0]
     assert st.case == 2
-    m = _step_map(st, 4, eps, 3)
+    first = AlgorithmTrace(pi, eps, Category.ALL, (st,))
     core = r_map("cross1", eps)
     want = TensorMap.identity(3, st.l - 1).tensor(core).tensor(
         TensorMap.identity(3, 4 - st.l - 1))
-    assert m == want
+    assert padded_step_map(st, 4, eps, 3) == want
+    assert compose_trace_map(first, 3) == want
 
 
 def test_stepwise_membership_equivalence():
@@ -143,7 +189,7 @@ def test_stepwise_membership_equivalence():
             cur_i = i0
             for st in trace.steps:
                 before = in_nc_eps(cur_pi, cur_i, eps)
-                m = _step_map(st, cur_pi.k, eps, n)
+                m = padded_step_map(st, cur_pi.k, eps, n)
                 image = m.apply(cur_i)
                 assert len(image) <= 1
                 if image:

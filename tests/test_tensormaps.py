@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epsym.epsmat import preset
+from epsym.epsmat import make_epsilon, preset
 from epsym.partitions import SetPartition, TwoRowPartition, enumerate_partitions
 from epsym.tensormaps import (BAAR, CROSS, DREIPARTROT, IDID, PAAR, PAARBAAR,
                               VIERPARTROT, TensorMap, box_calculus_suite,
@@ -76,10 +77,12 @@ def test_builders_emit_only_unit_coefficients():
     for name, eps in ALL_PRESETS[:6]:
         for kind in ("cross1", "idid1", "idid0", "paarbaar0"):
             for _, _, c in r_map(kind, eps).entries():
-                assert c == 1
+                assert c == 1 and type(c) is int
     for pi in (PAAR, BAAR, IDID, CROSS, PAARBAAR, DREIPARTROT, VIERPARTROT):
         for _, _, c in t_pi(pi, 3).entries():
-            assert c == 1
+            assert c == 1 and type(c) is int
+    for _, _, c in TensorMap.identity(3, 2).entries():
+        assert c == 1 and type(c) is int
 
 
 # --- the gated maps ----------------------------------------------------------
@@ -245,6 +248,99 @@ def test_sparse_form_never_stores_zeros():
     assert h.rows == {}
 
 
+def _stored_form(f):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for row in f.rows.values() for c in row.values())
+
+
+def test_coefficients_are_ints_unless_fractional():
+    f = TensorMap(2, 1, 1, [((1,), (1,), Fraction(4, 2)), ((2,), (2,), True),
+                            ((1,), (2,), Fraction(1, 3))])
+    assert _stored_form(f) and f.scalar_at((1,), (1,)) == 2
+    assert type(f.scalar_at((2,), (2,))) is int
+    f.add_entry((1,), (2,), Fraction(2, 3))
+    assert f.scalar_at((1,), (2,)) == 1 and _stored_form(f)
+    assert f.scalar_at((2,), (1,)) == 0
+    assert (Fraction(1, 2) * (2 * f)) == f and _stored_form(Fraction(1, 2) * f)
+    assert f.to_json()["entries"][0]["c"] == "2"
+
+
+# --- applying a map to a window of legs ----------------------------------------
+
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2))
+
+
+def sparse_maps(n, k_in, k_out):
+    def labels(k):
+        return st.tuples(*[st.integers(1, n)] * k)
+    entries = st.lists(st.tuples(labels(k_in), labels(k_out),
+                                 st.sampled_from(COEFFS)), max_size=8)
+    return entries.map(lambda es: TensorMap(n, k_in, k_out, es))
+
+
+@st.composite
+def window_cases(draw):
+    n = draw(st.integers(1, 3))
+    k_in, k_out = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    other = draw(sparse_maps(n, draw(st.integers(0, 2)),
+                             draw(st.integers(k_in, k_in + 2))))
+    return draw(sparse_maps(n, k_in, k_out)), other
+
+
+def padded(core, left, other):
+    """``(identity ⊗ core ⊗ identity) @ other`` with the identities built."""
+    n, right = core.n, other.k_out - left - core.k_in
+    return TensorMap.identity(n, left).tensor(core).tensor(
+        TensorMap.identity(n, right)) @ other
+
+
+@given(window_cases())
+@settings(max_examples=150, deadline=None)
+def test_on_legs_equals_padded_composition(case):
+    core, other = case
+    for left in range(other.k_out - core.k_in + 1):
+        got = core.on_legs(left, other)
+        assert got == padded(core, left, other)
+        assert _stored_form(got)
+        assert (got.n, got.k_in, got.k_out) == \
+            (core.n, other.k_in, other.k_out - core.k_in + core.k_out)
+
+
+@pytest.mark.parametrize("cap", ["paar", "baar"])
+def test_on_legs_caps_at_every_offset(cap):
+    rng = random.Random(5)
+    n = 2
+    core = t_pi(PAAR if cap == "paar" else BAAR, n)
+    other = _random_map(rng, n, 2, 3, entries=12)
+    for left in range(other.k_out - core.k_in + 1):
+        assert core.on_legs(left, other) == padded(core, left, other)
+
+
+def test_on_legs_cancels_to_zero():
+    # two outputs differing only inside the window meet in one image label
+    # with opposite coefficients: 2/3 * 1/2 + 1 * (-1/3) = 0
+    core = TensorMap(2, 1, 1, [((1,), (1,), Fraction(1, 2)),
+                               ((2,), (1,), Fraction(-1, 3))])
+    other = TensorMap(2, 1, 2, [((1,), (2, 1), Fraction(2, 3)),
+                                ((1,), (2, 2), 1)])
+    assert core.on_legs(1, other).is_zero
+    assert padded(core, 1, other).is_zero
+    whole = TensorMap(2, 1, 1, [((1,), (1,), 2)])
+    halved = TensorMap(2, 1, 1, [((1,), (1,), Fraction(1, 2))]).on_legs(0, whole)
+    assert type(halved.scalar_at((1,), (1,))) is int
+
+
+def test_on_legs_shape_errors():
+    core = r_map("cross1", preset("comm", 2))
+    with pytest.raises(ValueError):
+        core.on_legs(2, TensorMap.identity(2, 3))
+    with pytest.raises(ValueError):
+        core.on_legs(-1, TensorMap.identity(2, 3))
+    with pytest.raises(ValueError):
+        core.on_legs(0, TensorMap.identity(3, 3))
+
+
 # --- identity suites -----------------------------------------------------------
 
 @pytest.mark.parametrize("name,eps", ALL_PRESETS)
@@ -264,6 +360,22 @@ def test_box_calculus_covers_cycle5_loop_counts():
     names = [c.name for c in report.checks]
     assert any("loop count" in s for s in names)
     assert any("cross-paar^2" in s for s in names)
+
+
+def test_box_calculus_runs_loop_checks_on_a_relabelled_cycle5():
+    # relabel ex-f by the permutation 1->2, 2->4, 3->1, 4->5, 5->3
+    cyc = preset("ex-f")
+    perm = {1: 2, 2: 4, 3: 1, 4: 5, 5: 3}
+    rows = [[0] * 5 for _ in range(5)]
+    for i, k in product(range(1, 6), repeat=2):
+        rows[perm[i] - 1][perm[k] - 1] = cyc[i, k]
+    relabelled = make_epsilon(5, rows)
+    assert relabelled.entries != cyc.entries
+    report = box_calculus_suite(relabelled)
+    assert len(report.checks) == 5 and report.passed, "\n".join(report.lines())
+    # five vertices that are not all of degree 2 get the three product rules
+    assert len(box_calculus_suite(preset("comm", 5)).checks) == 3
+    assert len(box_calculus_suite(preset("free", 5)).checks) == 3
 
 
 def test_cycle5_loop_counts_row_one():
