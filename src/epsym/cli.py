@@ -62,6 +62,8 @@ def _load_eps(args) -> EpsilonMatrix:
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
+    if not isinstance(text, str):  # Python 3.11's argparse reads "--word=--" as []
+        raise ValueError("expected comma-separated integers, got '--'")
     text = text.strip()
     if not text:
         return ()

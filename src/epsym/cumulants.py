@@ -102,6 +102,15 @@ def _format_fraction(v: Fraction) -> str:
 format_fraction = _format_fraction
 
 
+def _block_product(pi: SetPartition, vals: tuple[int, ...],
+                   spec: CumulantSpec) -> Fraction:
+    # each block's coordinate is read off its first point
+    out = Fraction(1)
+    for b in pi.blocks:
+        out *= spec.kappa(vals[b[0] - 1], len(b))
+    return out
+
+
 def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> Fraction:
     """Product over blocks of kappa_{block size}(block coordinate).
 
@@ -111,14 +120,11 @@ def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> Fraction
     vals = tuple(i)
     if len(vals) != pi.k:
         raise ValueError(f"index length {len(vals)} != point count {pi.k}")
-    out = Fraction(1)
     for b in pi.blocks:
-        v = vals[b[0] - 1]
-        if any(vals[p - 1] != v for p in b):
+        if any(vals[p - 1] != vals[b[0] - 1] for p in b):
             raise ValueError(f"block {b} carries mixed coordinates; "
                              "partition must refine the kernel")
-        out *= spec.kappa(v, len(b))
-    return out
+    return _block_product(pi, vals, spec)
 
 
 def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
@@ -128,8 +134,9 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
     if spec.n < eps.n:
         raise ValueError("cumulant table is smaller than the pattern")
     total = Fraction(0)
+    # nc_eps_set yields only refinements of ker i, so kappa_pi's check is skipped
     for pi in nc_eps_set(vals, eps, cat):
-        total += kappa_pi(pi, vals, spec)
+        total += _block_product(pi, vals, spec)
     return total
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms:
 partitions are enumerated by point insertion instead of growth strings,
 noncrossing partitions by the first-block gap recursion, crossing
-predicates by literal quadruple loops, and counting sequences by their
-classical recurrences.
+predicates by literal quadruple loops, counting sequences by their
+classical recurrences, and word normal forms by rescanning cancellation
+and a quadratic lex-least selection.
 """
 
 from bisect import bisect_left
@@ -191,6 +192,49 @@ def naive_nc_eps_set(i, eps, cat) -> list[tuple[tuple[int, ...], ...]]:
         if naive_is_eps_noncrossing(_Owned(len(i), blocks), i, eps):
             out.append(blocks)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the word problem by repeated cancellation and quadratic lex-least selection
+
+def _first_cancellable(word: tuple[int, ...], eps):
+    # equal letters cancel once everything strictly between commutes with
+    # them; the diagonal entry 0 makes an equal letter in between a blocker
+    for p in range(len(word)):
+        a = word[p]
+        for q in range(p + 1, len(word)):
+            if word[q] == a:
+                return p, q
+            if eps[word[q], a] != 1:
+                break
+    return None
+
+
+def _lex_least(word: tuple[int, ...], eps) -> tuple[int, ...]:
+    rest = list(word)
+    out = []
+    while rest:
+        best_pos = None
+        for pos, a in enumerate(rest):
+            if all(eps[x, a] == 1 for x in rest[:pos]):
+                if best_pos is None or a < rest[best_pos]:
+                    best_pos = pos
+        out.append(rest.pop(best_pos))
+    return tuple(out)
+
+
+def naive_word_reduce(word, eps) -> tuple[int, ...]:
+    """Cancel the first cancellable pair, rescanning from the start, until
+    none is left; then repeatedly take the least letter that commutes with
+    everything before it."""
+    w = tuple(word)
+    while True:
+        hit = _first_cancellable(w, eps)
+        if hit is None:
+            break
+        p, q = hit
+        w = w[:p] + w[p + 1:q] + w[q + 1:]
+    return _lex_least(w, eps)
 
 
 # ---------------------------------------------------------------------------

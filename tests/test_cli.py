@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epsym.cli import main
 
@@ -88,6 +91,28 @@ def test_word_verb(capsys):
     code, out, _ = run_cli(capsys, "word", "--preset", "ex-d",
                            "--word", "1,2", "--word2", "2,1")
     assert code == 0 and out.strip() == "EQUAL"
+
+
+WORD_TEXT = st.text(alphabet="0123456789, +-aex", max_size=24)
+
+
+@given(WORD_TEXT, st.none() | WORD_TEXT, st.sampled_from(["ex-d", "ex-f", "trivial6"]),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_word_verb_fuzz(word, word2, preset_name, as_json):
+    # the --opt=value form keeps a text starting with '-' a value
+    argv = ["word", "--preset", preset_name, f"--word={word}"]
+    if word2 is not None:
+        argv.append(f"--word2={word2}")
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
 
 
 def test_rep_check_verb(capsys):

@@ -3,12 +3,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from strategies import eps_with_index
 from epsym.cumulants import (CumulantSpec, check_eps_exchangeability,
                              kappa_pi, moment, parse_fraction)
 from epsym.epsmat import preset
-from epsym.partitions import Category, SetPartition, parse_partition
+from epsym.partitions import Category, SetPartition, nc_eps_set, parse_partition
 
 SEMI = CumulantSpec.semicircle
 
@@ -37,6 +39,24 @@ def test_kappa_pi_rational_values():
     spec = CumulantSpec.of([(Fraction(1, 2), Fraction(3, 4))])
     assert kappa_pi(parse_partition("{1,2}{3}"), (1, 1, 1), spec) == \
         Fraction(3, 4) * Fraction(1, 2)
+
+
+@given(eps_with_index(max_n=4, max_k=8), st.sampled_from(list(Category)))
+@settings(max_examples=150, deadline=None)
+def test_admissible_partitions_refine_the_kernel(ei, cat):
+    # moment skips kappa_pi's one-coordinate-per-block check on this guarantee
+    eps, i = ei
+    for pi in nc_eps_set(i, eps, cat):
+        assert pi.k == len(i)
+        assert all(len({i[p - 1] for p in b}) == 1 for b in pi.blocks), (i, pi.blocks)
+
+
+def test_moment_is_the_sum_of_kappa_pi():
+    eps, spec = preset("ex-f"), CumulantSpec.of([(v, 2 * v, 3, 1) for v in range(1, 6)])
+    for i in [(1, 2, 1, 2), (3, 3, 4, 3, 4, 3), (5, 1, 5, 1, 2, 2), ()]:
+        for cat in Category:
+            assert moment(i, eps, spec, cat) == sum(
+                (kappa_pi(pi, i, spec) for pi in nc_eps_set(i, eps, cat)), Fraction(0))
 
 
 # --- moments -----------------------------------------------------------------

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import eps_matrices, eps_with_word
@@ -184,6 +185,76 @@ def test_word_letters_validated():
         word_reduce((0,), preset("free", 2))
     with pytest.raises(ValueError):
         word_reduce((3,), preset("free", 2))
+
+
+@pytest.mark.parametrize("letter", [2.5, 1.0, "1", True, False, None, Fraction(1)],
+                         ids=repr)
+def test_word_rejects_non_integer_letters(letter):
+    with pytest.raises(ValueError, match="not an integer") as info:
+        word_reduce((1, letter), preset("ex-d"))
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="not an integer"):
+        word_equal((), (letter,), preset("ex-d"))
+
+
+# --- the one-pass reducer against the rescanning oracle ---------------------------
+
+EXHAUSTIVE_WORDS = [
+    ("comm3", preset("comm", 3), 7), ("free3", preset("free", 3), 7),
+    ("ex-d", preset("ex-d"), 6), ("ex-e", preset("ex-e"), 6),
+    ("block-2-2", preset("block", 2, 2), 6),
+]
+
+
+@pytest.mark.parametrize("name,eps,max_len", EXHAUSTIVE_WORDS,
+                         ids=[case[0] for case in EXHAUSTIVE_WORDS])
+def test_word_reduce_matches_oracle_exhaustively(name, eps, max_len):
+    for length in range(max_len + 1):
+        for w in product(range(1, eps.n + 1), repeat=length):
+            assert word_reduce(w, eps) == oracles.naive_word_reduce(w, eps), (name, w)
+
+
+ORACLE_PATTERNS = [preset("ex-f"), preset("cycle5"), preset("trivial6"),
+                   preset("block", 2, 3), preset("free", 5)]
+
+
+@st.composite
+def long_pattern_words(draw, max_len: int = 80):
+    eps = draw(st.sampled_from(ORACLE_PATTERNS))
+    length = draw(st.integers(0, max_len))
+    w = draw(st.lists(st.integers(1, eps.n), min_size=length, max_size=length))
+    return eps, tuple(w)
+
+
+@given(long_pattern_words())
+@settings(max_examples=150, deadline=None)
+def test_word_reduce_matches_oracle_on_long_words(ew):
+    eps, w = ew
+    assert word_reduce(w, eps) == oracles.naive_word_reduce(w, eps)
+
+
+def _odd_letters(word):
+    return {a for a in set(word) if word.count(a) % 2}
+
+
+LONG_WORD_PATTERNS = [
+    ("ex-f", preset("ex-f")), ("trivial6", preset("trivial6")),
+    ("block-2-3", preset("block", 2, 3)), ("comm5", preset("comm", 5)),
+    ("free5", preset("free", 5)),
+]
+
+
+@pytest.mark.parametrize("name,eps", LONG_WORD_PATTERNS,
+                         ids=[case[0] for case in LONG_WORD_PATTERNS])
+def test_five_thousand_letter_words(name, eps):
+    rng = random.Random(name)
+    w = tuple(rng.randint(1, eps.n) for _ in range(5_000))
+    nf = word_reduce(w, eps)
+    assert word_reduce(w + w[::-1], eps) == ()
+    assert word_reduce(nf, eps) == nf
+    rep = coxeter_rep(eps)
+    assert rep.word_blocks(nf) == rep.word_blocks(w)
+    assert _odd_letters(nf) == _odd_letters(w)
 
 
 def _random_legal_move(rng, w, eps):
