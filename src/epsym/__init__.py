@@ -14,10 +14,9 @@ from .epsmat import (EpsilonMatrix, Permutation, format_eps_text, make_epsilon,
 from .partitions import (Category, SetPartition, TwoRowPartition,
                          enumerate_partitions, find_case2_index,
                          find_noncrossing_subpartition, format_partition,
-                         in_nc_eps, is_eps_noncrossing, is_refinement, ker,
-                         kernel, nc_eps_set, parse_partition)
-from .cumulants import (CumulantSpec, check_eps_exchangeability, kappa_pi,
-                        moment)
+                         in_nc_eps, is_eps_noncrossing, kernel, nc_eps_set,
+                         parse_partition)
+from .cumulants import CumulantSpec, kappa_pi, moment
 from .tensormaps import (BAAR, CROSS, DREIPARTROT, IDID, PAAR, PAARBAAR,
                          VIERPARTROT, TensorMap, box_calculus_suite,
                          eps_as_map, free_neighbors_map,
@@ -26,26 +25,27 @@ from .indicator import (AlgorithmTrace, Step, compose_trace_map,
                         definetti_identity_report, evaluate_trace,
                         run_algorithm, verify_oracle)
 from .groups import (PermGroup, Representation, automorphism_group,
-                     check_coxeter_rep, coxeter_rep, entries_commute,
-                     perm_representation, permutation_satisfies_R_eps,
-                     projection_pair_representation, rep_check, word_equal,
-                     word_reduce)
+                     check_coxeter_rep, check_eps_exchangeability, coxeter_rep,
+                     entries_commute, perm_representation,
+                     permutation_satisfies_R_eps, projection_pair_representation,
+                     rep_check, word_equal, word_reduce)
 from .report import CheckReport, CheckResult, SuiteReport
 
 __all__ = [
     "EpsilonMatrix", "Permutation", "make_epsilon", "preset", "parse_eps_text",
     "format_eps_text", "validate_index",
-    "SetPartition", "TwoRowPartition", "Category", "kernel", "ker",
-    "enumerate_partitions", "is_refinement", "is_eps_noncrossing", "in_nc_eps",
+    "SetPartition", "TwoRowPartition", "Category", "kernel",
+    "enumerate_partitions", "is_eps_noncrossing", "in_nc_eps",
     "nc_eps_set", "find_noncrossing_subpartition", "find_case2_index",
     "parse_partition", "format_partition",
-    "CumulantSpec", "kappa_pi", "moment", "check_eps_exchangeability",
+    "CumulantSpec", "kappa_pi", "moment",
     "TensorMap", "t_pi", "r_map", "s_box", "eps_as_map", "free_neighbors_map",
     "PAAR", "BAAR", "IDID", "CROSS", "PAARBAAR", "DREIPARTROT", "VIERPARTROT",
     "intertwiner_identity_suite", "box_calculus_suite",
     "AlgorithmTrace", "Step", "run_algorithm", "compose_trace_map",
     "evaluate_trace", "verify_oracle", "definetti_identity_report",
     "PermGroup", "Representation", "automorphism_group",
+    "check_eps_exchangeability",
     "permutation_satisfies_R_eps", "coxeter_rep", "check_coxeter_rep",
     "word_reduce", "word_equal", "rep_check", "perm_representation",
     "projection_pair_representation", "entries_commute",

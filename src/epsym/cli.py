@@ -11,15 +11,16 @@ import json
 import sys
 
 from . import epsmat
-from .cumulants import (CumulantSpec, check_eps_exchangeability, format_fraction,
-                        moment)
+from .cumulants import CumulantSpec, format_fraction, moment
 from .epsmat import EpsilonMatrix, Permutation, format_eps_text, parse_eps_text
-from .groups import (automorphism_group, check_coxeter_rep, entries_commute,
+from .groups import (automorphism_group, check_coxeter_rep,
+                     check_eps_exchangeability, entries_commute,
                      perm_representation, projection_pair_representation,
                      rep_check, word_reduce)
 from .indicator import definetti_identity_report, run_algorithm, verify_oracle
 from .partitions import (Category, enumerate_partitions, format_partition,
                          nc_eps_set, parse_partition)
+from .report import CheckResult, SuiteReport
 from .tensormaps import box_calculus_suite, intertwiner_identity_suite
 
 
@@ -62,8 +63,6 @@ def _load_eps(args) -> EpsilonMatrix:
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
-    if not isinstance(text, str):  # Python 3.11's argparse reads "--word=--" as []
-        raise ValueError("expected comma-separated integers, got '--'")
     text = text.strip()
     if not text:
         return ()
@@ -106,29 +105,26 @@ def _cmd_show_eps(args) -> int:
     return 0
 
 
-def _cmd_partitions(args) -> int:
-    cat = Category.parse(args.cat)
-    parts = enumerate_partitions(args.k, cat, noncrossing_only=args.noncrossing)
-    if args.json:
+def _print_partitions(parts, as_json: bool) -> int:
+    if as_json:
         _emit_json([p.to_json() for p in parts])
     else:
         for p in parts:
             print(format_partition(p))
         print(f"total: {len(parts)}")
     return 0
+
+
+def _cmd_partitions(args) -> int:
+    cat = Category.parse(args.cat)
+    return _print_partitions(
+        enumerate_partitions(args.k, cat, noncrossing_only=args.noncrossing), args.json)
 
 
 def _cmd_ncset(args) -> int:
     eps = _load_eps(args)
     i = _parse_csv_ints(args.index)
-    parts = nc_eps_set(i, eps, Category.parse(args.cat))
-    if args.json:
-        _emit_json([p.to_json() for p in parts])
-    else:
-        for p in parts:
-            print(format_partition(p))
-        print(f"total: {len(parts)}")
-    return 0
+    return _print_partitions(nc_eps_set(i, eps, Category.parse(args.cat)), args.json)
 
 
 def _cmd_moment(args) -> int:
@@ -271,14 +267,14 @@ def _cmd_definetti(args) -> int:
     return _print_report(report, args.json)
 
 
-def _battery() -> list[tuple[str, bool, str]]:
+def _battery() -> SuiteReport:
     """The bundled example battery: fixed patterns, group orders, the
     representation checks, the identity suites and the indicator oracle."""
     from .epsmat import preset
-    results: list[tuple[str, bool, str]] = []
+    results: list[CheckResult] = []
 
-    def check(label: str, ok: bool, detail: str = ""):
-        results.append((label, bool(ok), detail))
+    def check(label: str, ok: bool):
+        results.append(CheckResult(label, bool(ok)))
 
     for name in ("ex-d", "ex-e", "ex-f", "trivial6"):
         eps = preset(name)
@@ -328,20 +324,17 @@ def _battery() -> list[tuple[str, bool, str]]:
           word_reduce((1, 2, 1), eps) == (2,))
     check("word problem: blocked word stays",
           word_reduce((1, 3, 1), eps) == (1, 3, 1))
-    return results
+    return SuiteReport(tuple(results))
 
 
 def _cmd_paper_examples(args) -> int:
-    results = _battery()
+    suite = _battery()
     if args.json:
-        _emit_json([{"name": n, "passed": ok, "detail": d} for n, ok, d in results])
+        _emit_json(suite.to_json()["checks"])
     else:
-        for name, ok, detail in results:
-            tail = f"  ({detail})" if detail and not ok else ""
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}{tail}")
-        n_fail = sum(1 for _, ok, _ in results if not ok)
-        print(f"{len(results) - n_fail}/{len(results)} passed")
-    return 0 if all(ok for _, ok, _ in results) else 1
+        _print_suite(suite, False)
+        print(f"{sum(c.passed for c in suite.checks)}/{len(suite.checks)} passed")
+    return 0 if suite.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,8 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse up to 3.12 reads "--opt=--" as []
+            print(f"error: --{name.replace('_', '-')} needs a value, got '--'",
+                  file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .epsmat import EpsilonMatrix
-from .groups import automorphism_group
 from .partitions import Category, SetPartition, nc_eps_set
-from .report import CheckReport
 
 
 def _norm_row(row) -> tuple[Fraction, ...]:
@@ -65,7 +62,7 @@ class CumulantSpec:
 
     def to_json(self) -> dict:
         return {"n": self.n,
-                "kappas": [[_format_fraction(v) for v in row] for row in self.kappas]}
+                "kappas": [[format_fraction(v) for v in row] for row in self.kappas]}
 
     @classmethod
     def from_json(cls, data: dict) -> "CumulantSpec":
@@ -95,11 +92,8 @@ def parse_fraction(text) -> Fraction:
         raise ValueError(f"fraction {text!r} has a zero denominator") from None
 
 
-def _format_fraction(v: Fraction) -> str:
+def format_fraction(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-format_fraction = _format_fraction
 
 
 def _block_product(pi: SetPartition, vals: tuple[int, ...],
@@ -138,32 +132,3 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
     for pi in nc_eps_set(vals, eps, cat):
         total += _block_product(pi, vals, spec)
     return total
-
-
-def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
-                              max_k: int) -> CheckReport:
-    """Moments must be invariant under every pattern automorphism.
-
-    Verifies moment(i) == moment(s o i) for all automorphisms s and all
-    words of length up to ``max_k``.  The cumulant rows must be
-    identical, matching the identically-distributed hypothesis.
-    """
-    if not spec.identically_distributed:
-        raise ValueError("coordinates must be identically distributed")
-    n = eps.n
-    group = automorphism_group(eps)
-    checked = 0
-    for k in range(max_k + 1):
-        table = {}
-        for i in product(range(1, n + 1), repeat=k):
-            table[i] = moment(i, eps, spec)
-        for sigma in group.elements:
-            for i, m in table.items():
-                moved = tuple(sigma(v) for v in i)
-                checked += 1
-                if table[moved] != m:
-                    return CheckReport(
-                        False, checked,
-                        f"sigma={sigma.images}, i={i}: "
-                        f"{_format_fraction(m)} != {_format_fraction(table[moved])}")
-    return CheckReport(True, checked)

@@ -110,8 +110,7 @@ _FIXED_PRESETS = {
     "trivial6": _TRIVIAL6,
 }
 
-PRESET_NAMES = ("comm", "free", "block", "ex-d", "pairs-indep", "ex-e",
-                "pairs-free", "ex-f", "cycle5", "trivial6")
+PRESET_NAMES = ("comm", "free", "block", *_FIXED_PRESETS)
 
 
 def comm(n: int) -> EpsilonMatrix:
@@ -206,10 +205,12 @@ def format_eps_text(eps: EpsilonMatrix) -> str:
 
 
 def validate_index(values, n: int) -> tuple[int, ...]:
-    """Check a multi-index: every entry must lie in 1..n."""
+    """Check a multi-index: every entry must be an integer in 1..n."""
     vals = tuple(values)
     for pos, v in enumerate(vals):
-        if not isinstance(v, int) or not 1 <= v <= n:
+        if isinstance(v, bool) or not isinstance(v, int):  # bool is an int subclass
+            raise ValueError(f"index entry {pos + 1} is {v!r}, not an integer")
+        if not 1 <= v <= n:
             raise ValueError(f"index entry {pos + 1} is {v!r}, must lie in 1..{n}")
     return vals
 

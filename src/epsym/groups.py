@@ -4,10 +4,10 @@ Three independent views of the same pattern live here:
 
 * the subgroup of S_n preserving the pattern under conjugation (the
   automorphism group of the associated graph), found by pruned
-  backtracking;
+  backtracking, and the check that mixed moments are invariant under it;
 * the reflection representation on a direct sum of planes, one per
   coordinate pair, whose generators commute exactly where the pattern
-  says so;
+  says so; a word's action multiplies only the planes each letter moves;
 * the word problem for the group generated by n involutions subject to
   the pattern's commutations (the right-angled Coxeter group of the
   pattern graph), solved in one pass: a per-letter stack cancels by
@@ -16,21 +16,25 @@ Three independent views of the same pattern live here:
 
 A relation checker evaluates families of quadratic relations on a
 candidate fundamental matrix whose entries are exact-rational blocks.
+The quadratic families share one loop over quadruples (i, j, k, l) and
+differ only in the block that u[i,k]u[j,l] must equal.  One exact
+square-matrix product serves both the representation and the checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Sequence
 
-from .epsmat import EpsilonMatrix, Permutation
-from .report import CheckResult, SuiteReport
+from .cumulants import CumulantSpec, format_fraction, moment
+from .epsmat import EpsilonMatrix, Permutation, validate_index
+from .report import CheckReport, CheckResult, SuiteReport
 
-Mat = tuple[tuple[Fraction, ...], ...]
+Mat = tuple[tuple[int | Fraction, ...], ...]
 
 RELATION_TAGS = ("orthogonal", "magic", "R_eps", "Rring_eps", "Rprime_eps",
                  "R_aut", "selfadjoint-projections")
@@ -120,6 +124,35 @@ class PermGroup:
                 "generators": [list(g.images) for g in self.generators()]}
 
 
+def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
+                              max_k: int) -> CheckReport:
+    """Moments must be invariant under every pattern automorphism.
+
+    Verifies moment(i) == moment(s o i) for all automorphisms s and all
+    words of length up to ``max_k``.  The cumulant rows must be
+    identical, matching the identically-distributed hypothesis.
+    """
+    if not spec.identically_distributed:
+        raise ValueError("coordinates must be identically distributed")
+    n = eps.n
+    group = automorphism_group(eps)
+    checked = 0
+    for k in range(max_k + 1):
+        table = {}
+        for i in product(range(1, n + 1), repeat=k):
+            table[i] = moment(i, eps, spec)
+        for sigma in group.elements:
+            for i, m in table.items():
+                moved = tuple(sigma(v) for v in i)
+                checked += 1
+                if table[moved] != m:
+                    return CheckReport(
+                        False, checked,
+                        f"sigma={sigma.images}, i={i}: "
+                        f"{format_fraction(m)} != {format_fraction(table[moved])}")
+    return CheckReport(True, checked)
+
+
 def permutation_satisfies_R_eps(sigma: Permutation, eps: EpsilonMatrix) -> bool:
     """Evaluate the mixed exchange relations on the permutation matrix.
 
@@ -151,12 +184,11 @@ _A = ((-1, 0), (0, 1))
 _B = ((0, 1), (1, 0))
 _I2 = ((1, 0), (0, 1))
 
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
-
-def _m2mul(x: Mat2, y: Mat2) -> Mat2:
-    return tuple(tuple(sum(x[r][t] * y[t][c] for t in range(2)) for c in range(2))
-                 for r in range(2))  # type: ignore[return-value]
+def _mmul(x: Mat, y: Mat) -> Mat:
+    d = len(x)
+    return tuple(tuple(sum(x[r][t] * y[t][c] for t in range(d)) for c in range(d))
+                 for r in range(d))
 
 
 @dataclass(frozen=True)
@@ -165,21 +197,23 @@ class CoxeterRep:
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    gens: tuple[tuple[Mat2, ...], ...]  # gens[k-1][pair index]
+    gens: tuple[tuple[Mat, ...], ...]  # gens[k-1][pair index]
 
-    def generator(self, k: int) -> tuple[Mat2, ...]:
+    def generator(self, k: int) -> tuple[Mat, ...]:
         return self.gens[k - 1]
 
-    def word_blocks(self, word: Sequence[int]) -> tuple[Mat2, ...]:
+    @cached_property
+    def moves(self) -> tuple[tuple[tuple[int, Mat], ...], ...]:
+        """For each generator, the (pair index, block) of every plane it moves."""
+        return tuple(tuple((pi, g) for pi, g in enumerate(row) if g != _I2)
+                     for row in self.gens)
+
+    def word_blocks(self, word: Sequence[int]) -> tuple[Mat, ...]:
         """Product of generator actions, one 2x2 block per plane."""
-        out = []
-        for pi in range(len(self.pairs)):
-            m: Mat2 = _I2
-            for letter in word:
-                g = self.gens[letter - 1][pi]
-                if g is not _I2:
-                    m = _m2mul(m, g)
-            out.append(m)
+        out = [_I2] * len(self.pairs)
+        for letter in validate_index(word, self.n):
+            for pi, g in self.moves[letter - 1]:
+                out[pi] = _mmul(out[pi], g)
         return tuple(out)
 
 
@@ -211,12 +245,12 @@ def check_coxeter_rep(eps: EpsilonMatrix) -> SuiteReport:
     rep = coxeter_rep(eps)
     checks = []
     for k in range(1, eps.n + 1):
-        ok = all(_m2mul(g, g) == _I2 for g in rep.generator(k))
+        ok = all(_mmul(g, g) == _I2 for g in rep.generator(k))
         checks.append(CheckResult(f"generator {k} squares to identity", ok))
     for i in range(1, eps.n + 1):
         for j in range(i + 1, eps.n + 1):
             commute = all(
-                _m2mul(gi, gj) == _m2mul(gj, gi)
+                _mmul(gi, gj) == _mmul(gj, gi)
                 for gi, gj in zip(rep.generator(i), rep.generator(j)))
             want = eps[i, j] == 1
             checks.append(CheckResult(
@@ -228,16 +262,6 @@ def check_coxeter_rep(eps: EpsilonMatrix) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # word problem
-
-def _check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
-    w = tuple(word)
-    for x in w:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"letter {x!r} is not an integer")
-        if not 1 <= x <= n:
-            raise ValueError(f"letter {x} outside 1..{n}")
-    return w
-
 
 def word_reduce(word: Sequence[int], eps: EpsilonMatrix) -> tuple[int, ...]:
     """Canonical normal form of a word in the pattern's involution group.
@@ -254,7 +278,7 @@ def word_reduce(word: Sequence[int], eps: EpsilonMatrix) -> tuple[int, ...]:
     group element iff their normal forms coincide.  Cost: O(L*n) for a
     word of L letters over n generators, plus O(L log n) for the heap.
     """
-    w = _check_word(word, eps.n)
+    w = validate_index(word, eps.n)
     n = eps.n
     # the letters each letter does not commute with; the diagonal is 0,
     # so every letter blocks itself
@@ -348,12 +372,6 @@ class Representation:
         return tuple((Fraction(0),) * d for _ in range(d))
 
 
-def _mmul(x: Mat, y: Mat) -> Mat:
-    d = len(x)
-    return tuple(tuple(sum(x[r][t] * y[t][c] for t in range(d)) for c in range(d))
-                 for r in range(d))
-
-
 def _madd(x: Mat, y: Mat) -> Mat:
     return tuple(tuple(a + b for a, b in zip(xr, yr)) for xr, yr in zip(x, y))
 
@@ -402,145 +420,94 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
     """
     if u.n != eps.n:
         raise ValueError("matrix size differs from pattern size")
-    n, I, Z = u.n, u._id, u._zero
+    n, I, Z, e = u.n, u._id, u._zero, u.entry
     rng = range(1, n + 1)
 
-    def selfadjoint_ok():
-        for i, j in product(rng, rng):
-            if u.entry(i, j) != _mT(u.entry(i, j)):
-                return False, f"u[{i},{j}] is not symmetric"
-        return True, ""
+    def total(blocks) -> Mat:
+        return reduce(_madd, blocks, Z)
 
-    def projections_ok():
-        ok, why = selfadjoint_ok()
-        if not ok:
-            return ok, why
+    def symmetric() -> str:
         for i, j in product(rng, rng):
-            e = u.entry(i, j)
-            if _mmul(e, e) != e:
-                return False, f"u[{i},{j}] is not idempotent"
-        return True, ""
+            if e(i, j) != _mT(e(i, j)):
+                return f"u[{i},{j}] is not symmetric"
+        return ""
 
-    def magic_ok():
-        ok, why = projections_ok()
-        if not ok:
-            return ok, why
+    def idempotent() -> str:
+        for i, j in product(rng, rng):
+            if _mmul(e(i, j), e(i, j)) != e(i, j):
+                return f"u[{i},{j}] is not idempotent"
+        return ""
+
+    def stochastic() -> str:
         for i in rng:
-            row = Z
-            col = Z
-            for k in rng:
-                row = _madd(row, u.entry(i, k))
-                col = _madd(col, u.entry(k, i))
-            if row != I:
-                return False, f"row {i} does not sum to the identity"
-            if col != I:
-                return False, f"column {i} does not sum to the identity"
-        return True, ""
+            if total(e(i, k) for k in rng) != I:
+                return f"row {i} does not sum to the identity"
+            if total(e(k, i) for k in rng) != I:
+                return f"column {i} does not sum to the identity"
+        return ""
 
-    def orthogonal_ok():
-        ok, why = selfadjoint_ok()
-        if not ok:
-            return ok, why
+    def orthonormal() -> str:
         for i, j in product(rng, rng):
             want = I if i == j else Z
-            s1 = Z
-            s2 = Z
-            for k in rng:
-                s1 = _madd(s1, _mmul(u.entry(i, k), u.entry(j, k)))
-                s2 = _madd(s2, _mmul(u.entry(k, i), u.entry(k, j)))
-            if s1 != want:
-                return False, f"sum_k u[{i},k]u[{j},k] wrong"
-            if s2 != want:
-                return False, f"sum_k u[k,{i}]u[k,{j}] wrong"
-        return True, ""
+            if total(_mmul(e(i, k), e(j, k)) for k in rng) != want:
+                return f"sum_k u[{i},k]u[{j},k] wrong"
+            if total(_mmul(e(k, i), e(k, j)) for k in rng) != want:
+                return f"sum_k u[k,{i}]u[k,{j}] wrong"
+        return ""
 
-    def commuting_family_ok():
-        for i, j, k, l in product(rng, repeat=4):
-            if eps[i, j] == 1 and eps[k, l] == 1:
-                a, b = u.entry(i, k), u.entry(j, l)
-                if _mmul(a, b) != _mmul(b, a):
-                    return False, f"u[{i},{k}] and u[{j},{l}] do not commute"
-        return True, ""
-
-    def r_eps_ok():
-        ok, why = commuting_family_ok()
-        if not ok:
-            return ok, why
-        for i, j, k, l in product(rng, repeat=4):
-            eij, ekl = eps[i, j], eps[k, l]
-            if eij == 1 and ekl == 0:
-                if _mmul(u.entry(i, k), u.entry(j, l)) != \
-                        _mmul(u.entry(j, k), u.entry(i, l)):
-                    return False, f"exchange fails at ({i},{j},{k},{l})"
-            elif eij == 0 and ekl == 1:
-                if _mmul(u.entry(i, k), u.entry(j, l)) != \
-                        _mmul(u.entry(i, l), u.entry(j, k)):
-                    return False, f"exchange fails at ({i},{j},{k},{l})"
-        return True, ""
-
-    def rring_eps_ok():
-        ok, why = commuting_family_ok()
-        if not ok:
-            return ok, why
-        for i, j, k, l in product(rng, repeat=4):
-            if eps[i, j] != eps[k, l]:
-                if _mmul(u.entry(i, k), u.entry(j, l)) != Z:
-                    return False, f"u[{i},{k}]u[{j},{l}] nonzero at ({i},{j},{k},{l})"
-        return True, ""
-
-    def rprime_eps_ok():
-        ok, why = commuting_family_ok()
-        if not ok:
-            return ok, why
-        for i, j, k, l in product(rng, repeat=4):
-            eij, ekl = eps[i, j], eps[k, l]
-            if eij == 1 and ekl == 0:
-                rhs = Z
-                if k == l:
-                    for m in rng:
-                        if eps[k, m] == 0:
-                            rhs = _madd(rhs, _mmul(u.entry(j, m), u.entry(i, m)))
-                if _mmul(u.entry(i, k), u.entry(j, l)) != rhs:
-                    return False, f"summed exchange fails at ({i},{j},{k},{l})"
-            elif eij == 0 and ekl == 1:
-                rhs = Z
-                if i == j:
-                    for m in rng:
-                        if eps[i, m] == 0:
-                            rhs = _madd(rhs, _mmul(u.entry(m, l), u.entry(m, k)))
-                if _mmul(u.entry(i, k), u.entry(j, l)) != rhs:
-                    return False, f"summed exchange fails at ({i},{j},{k},{l})"
-        return True, ""
-
-    def r_aut_ok():
+    def weighted_sums() -> str:
         for i, l in product(rng, rng):
-            s1 = Z
-            s2 = Z
-            for k in rng:
-                if eps[k, l] == 1:
-                    s1 = _madd(s1, u.entry(i, k))
-            for j in rng:
-                if eps[i, j] == 1:
-                    s2 = _madd(s2, u.entry(j, l))
-            if s1 != s2:
-                return False, f"pattern-weighted row/column sums differ at ({i},{l})"
-        return True, ""
+            if total(e(i, k) for k in rng if eps[k, l] == 1) != \
+                    total(e(j, l) for j in rng if eps[i, j] == 1):
+                return f"pattern-weighted row/column sums differ at ({i},{l})"
+        return ""
 
+    def quads(rhs, message: str):
+        """The check that u[i,k]u[j,l] == rhs(i, j, k, l) wherever the
+        family applies; ``rhs`` returns None where it does not."""
+        def check() -> str:
+            for i, j, k, l in product(rng, repeat=4):
+                want = rhs(i, j, k, l)
+                if want is not None and _mmul(e(i, k), e(j, l)) != want:
+                    return message.format(i=i, j=j, k=k, l=l)
+            return ""
+        return check
+
+    def exchanged(i, j, k, l):
+        if eps[i, j] != eps[k, l]:
+            return _mmul(e(j, k), e(i, l)) if eps[i, j] else _mmul(e(i, l), e(j, k))
+
+    def summed(i, j, k, l):
+        if eps[i, j] == eps[k, l]:
+            return None
+        if eps[i, j]:
+            return total(_mmul(e(j, m), e(i, m)) for m in rng
+                         if eps[k, m] == 0) if k == l else Z
+        return total(_mmul(e(m, l), e(m, k)) for m in rng
+                     if eps[i, m] == 0) if i == j else Z
+
+    commuting = quads(lambda i, j, k, l: _mmul(e(j, l), e(i, k))
+                      if eps[i, j] == eps[k, l] == 1 else None,
+                      "u[{i},{k}] and u[{j},{l}] do not commute")
+    # tag -> its prerequisite checks, then its own; the first message wins
     table = {
-        "orthogonal": orthogonal_ok,
-        "magic": magic_ok,
-        "R_eps": r_eps_ok,
-        "Rring_eps": rring_eps_ok,
-        "Rprime_eps": rprime_eps_ok,
-        "R_aut": r_aut_ok,
-        "selfadjoint-projections": projections_ok,
+        "orthogonal": (symmetric, orthonormal),
+        "magic": (symmetric, idempotent, stochastic),
+        "R_eps": (commuting, quads(exchanged, "exchange fails at ({i},{j},{k},{l})")),
+        "Rring_eps": (commuting, quads(
+            lambda i, j, k, l: Z if eps[i, j] != eps[k, l] else None,
+            "u[{i},{k}]u[{j},{l}] nonzero at ({i},{j},{k},{l})")),
+        "Rprime_eps": (commuting,
+                       quads(summed, "summed exchange fails at ({i},{j},{k},{l})")),
+        "R_aut": (weighted_sums,),
+        "selfadjoint-projections": (symmetric, idempotent),
     }
     checks = []
     for tag in relations:
         if tag not in table:
             raise ValueError(f"unknown relation tag {tag!r}; known: {', '.join(RELATION_TAGS)}")
-        ok, detail = table[tag]()
-        checks.append(CheckResult(tag, ok, detail))
+        detail = next(filter(None, (check() for check in table[tag])), "")
+        checks.append(CheckResult(tag, not detail, detail))
     return SuiteReport(tuple(checks))
 
 

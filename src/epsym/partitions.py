@@ -12,7 +12,10 @@ cross itself only where the commutation pattern allows it.  Writing
 happens at labels with pattern entry 1.  The admissible refinements of
 the kernel of ``i`` are the summation domain of the mixed
 moment-cumulant formula and the support of the indicator functional
-built in :mod:`epsym.indicator`.
+built in :mod:`epsym.indicator`.  The test lives in one place,
+:func:`is_eps_noncrossing`; :func:`in_nc_eps` adds the kernel test in
+front of it, and every word's labels are checked by
+:func:`epsym.epsmat.validate_index`.
 
 :func:`nc_eps_set` generates them directly rather than filtering all
 partitions: points are placed left to right, a point may join only an
@@ -21,7 +24,9 @@ crossing at pattern entry 0 is refused on the spot.  Trying joins in
 block order before opening a new block keeps restricted-growth order,
 so its list is exactly the admissible part of
 :func:`enumerate_partitions`, in the same order, at a cost that grows
-with the admitted set rather than with Bell(k).
+with the admitted set rather than with Bell(k).  The same "encloses"
+test decides whether two blocks cross: two disjoint blocks cross iff
+each encloses a point of the other.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence
 
-if TYPE_CHECKING:  # only for annotations; no runtime dependency
-    from .epsmat import EpsilonMatrix
+from .epsmat import EpsilonMatrix, validate_index
 
 Block = tuple[int, ...]
 
@@ -226,10 +230,6 @@ def kernel(values: Sequence[int]) -> SetPartition:
     return SetPartition(len(values), tuple(blocks))
 
 
-# ker is the traditional name for the kernel of a word
-ker = kernel
-
-
 def _rgs_words(k: int):
     if k == 0:
         yield ()
@@ -271,28 +271,25 @@ def enumerate_partitions(k: int, cat: Category = Category.ALL,
     return out
 
 
-def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
-    return pi.refines(sigma)
-
-
 def is_eps_noncrossing(pi: SetPartition, i: Sequence[int],
-                       eps: "EpsilonMatrix") -> bool:
+                       eps: EpsilonMatrix) -> bool:
     """Does every crossing of ``pi`` carry pattern entry 1 on ``i``?
 
     Evaluated literally on all crossing quadruples; ``pi`` need not
     refine the kernel of ``i``.
     """
-    vals = tuple(i)
+    vals = validate_index(i, eps.n)
     if len(vals) != pi.k:
         raise ValueError(f"index length {len(vals)} != point count {pi.k}")
-    for v in vals:
-        if not 1 <= v <= eps.n:
-            raise ValueError(f"index value {v} outside 1..{eps.n}")
     return all(eps[vals[p - 1], vals[q - 1]] == 1 for p, q in pi.crossing_pairs)
 
 
-def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: "EpsilonMatrix") -> bool:
-    """Membership of ``pi`` in the admissible refinements of ker i."""
+def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: EpsilonMatrix) -> bool:
+    """Membership of ``pi`` in the admissible refinements of ker i.
+
+    The kernel test runs first, so a word whose labels already split a
+    block is refused before its labels are validated.
+    """
     vals = tuple(i)
     if len(vals) != pi.k:
         raise ValueError(f"index length {len(vals)} != point count {pi.k}")
@@ -300,10 +297,10 @@ def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: "EpsilonMatrix") -> bool:
         v0 = vals[b[0] - 1]
         if any(vals[p - 1] != v0 for p in b):
             return False
-    return all(eps[vals[p - 1], vals[q - 1]] == 1 for p, q in pi.crossing_pairs)
+    return is_eps_noncrossing(pi, vals, eps)
 
 
-def nc_eps_set(i: Sequence[int], eps: "EpsilonMatrix",
+def nc_eps_set(i: Sequence[int], eps: EpsilonMatrix,
                cat: Category = Category.ALL) -> list[SetPartition]:
     """All partitions in the family admissible for the word ``i``.
 
@@ -317,10 +314,7 @@ def nc_eps_set(i: Sequence[int], eps: "EpsilonMatrix",
     candidate.  The cost grows with the number of admissible refinements
     of ker i, not with the Bell number of ``len(i)``.
     """
-    vals = tuple(i)
-    for v in vals:
-        if not 1 <= v <= eps.n:
-            raise ValueError(f"index value {v} outside 1..{eps.n}")
+    vals = validate_index(i, eps.n)
     # admissible placements of points 1..p-1; each state's extensions are
     # appended in choice order, so the list stays in restricted-growth order
     states: list[tuple[Block, ...]] = [()]
@@ -381,24 +375,6 @@ def find_noncrossing_subpartition(
     return None
 
 
-def _blocks_cross(a: Block, b: Block) -> bool:
-    # two disjoint sorted blocks cross iff their merge alternates
-    # membership at least four times
-    runs, last = 0, None
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        if ib == len(b) or (ia < len(a) and a[ia] < b[ib]):
-            tag = 0
-            ia += 1
-        else:
-            tag = 1
-            ib += 1
-        if tag != last:
-            runs += 1
-            last = tag
-    return runs >= 4
-
-
 def find_case2_index(pi: SetPartition) -> Optional[int]:
     """Smallest l whose legs l, l+1 sit on crossing blocks V, V' with
     min(V') < min(V).  Swapping such legs pulls the earlier block left."""
@@ -409,7 +385,8 @@ def find_case2_index(pi: SetPartition) -> Optional[int]:
         a, b = pi.blocks[ai], pi.blocks[bi]
         if b[0] >= a[0]:
             continue
-        if _blocks_cross(a, b):
+        # two disjoint blocks cross iff each encloses a point of the other
+        if _encloses(a, b) and _encloses(b, a):
             return l
     return None
 

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms:
 partitions are enumerated by point insertion instead of growth strings,
 noncrossing partitions by the first-block gap recursion, crossing
 predicates by literal quadruple loops, counting sequences by their
-classical recurrences, and word normal forms by rescanning cancellation
-and a quadratic lex-least selection.
+classical recurrences, word normal forms by rescanning cancellation
+and a quadratic lex-least selection, and a word's reflection-representation
+action by a plane-by-plane product.
 """
 
 from bisect import bisect_left
@@ -235,6 +236,22 @@ def naive_word_reduce(word, eps) -> tuple[int, ...]:
         p, q = hit
         w = w[:p] + w[p + 1:q] + w[q + 1:]
     return _lex_least(w, eps)
+
+
+def naive_word_blocks(rep, word) -> tuple:
+    """The reflection representation's action of a word, plane by plane:
+    every letter's 2x2 block is multiplied in, identities included."""
+    def mul(x, y):
+        return tuple(tuple(x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in range(2))
+                     for r in range(2))
+
+    out = []
+    for plane in range(len(rep.pairs)):
+        m = ((1, 0), (0, 1))
+        for letter in word:
+            m = mul(m, rep.gens[letter - 1][plane])
+        out.append(m)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from itertools import permutations, product
 import pytest
 
 import oracles
-from epsym.cumulants import CumulantSpec, check_eps_exchangeability, moment
+from epsym.cumulants import CumulantSpec, moment
 from epsym.epsmat import Permutation, preset
-from epsym.groups import (automorphism_group, check_coxeter_rep, coxeter_rep,
+from epsym.groups import (automorphism_group, check_coxeter_rep,
+                          check_eps_exchangeability, coxeter_rep,
                           entries_commute, permutation_satisfies_R_eps,
                           projection_pair_representation, rep_check,
                           word_reduce)

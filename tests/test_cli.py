@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsym.cli import main
+from epsym.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,68 @@ def test_word_verb_fuzz(word, word2, preset_name, as_json):
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
     assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
+
+
+# a valid command line for every verb; each value option is then set to
+# '--' in turn, replacing the base value (and the other pattern source)
+DASH_BASE = {
+    ("show-eps",): {"--preset": "ex-d"},
+    ("partitions",): {"--k": "3"},
+    ("ncset",): {"--preset": "ex-d", "--index": "1,2"},
+    ("moment",): {"--preset": "ex-d", "--index": "1,2"},
+    ("exchangeability",): {"--preset": "ex-d", "--max-k": "1"},
+    ("tneps",): {"--preset": "ex-d"},
+    ("coxeter-check",): {"--preset": "ex-d"},
+    ("word",): {"--preset": "ex-d", "--word": "1,2"},
+    ("rep-check",): {"--preset": "ex-d"},
+    ("intertwiner-suite",): {"--preset": "ex-d"},
+    ("mpi", "run"): {"--preset": "ex-d", "--partition": "{1,2}"},
+    ("mpi", "verify"): {"--preset": "ex-d", "--partition": "{1,2}"},
+    ("definetti",): {"--preset": "ex-d", "--max-k": "1"},
+    ("paper-examples",): {},
+}
+EPS_SOURCE = {"--preset", "--eps-file"}
+
+
+def _verbs(parser, path=()):
+    """(verb path, parser) for every leaf verb."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _verbs(sub, path + (name,))
+
+
+VERBS = dict(_verbs(build_parser()))
+DASH_CASES = [(path, a.option_strings[-1]) for path, p in VERBS.items()
+              for a in p._actions if a.option_strings and a.nargs != 0]
+
+
+def test_dash_cases_cover_every_verb():
+    assert set(VERBS) == set(DASH_BASE)
+    assert {path for path, _ in DASH_CASES} == set(DASH_BASE) - {("paper-examples",)}
+
+
+@pytest.mark.parametrize("path,option", DASH_CASES,
+                         ids=[" ".join(path) + " " + opt for path, opt in DASH_CASES])
+def test_double_dash_value_exits_cleanly(path, option):
+    base = {k: v for k, v in DASH_BASE[path].items()
+            if k != option and not (option in EPS_SOURCE and k in EPS_SOURCE)}
+    argv = [*path, *(t for kv in base.items() for t in kv), f"{option}=--"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # newer argparse reads the value as '--' and rejects it itself
+            # for a typed option, after its usage lines
+            code = exc.code
+            assert f"argument {option}" in err.getvalue().splitlines()[-1], argv
+        else:
+            assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert code == 2, (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_rep_check_verb(capsys):

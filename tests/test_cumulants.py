@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import eps_with_index
-from epsym.cumulants import (CumulantSpec, check_eps_exchangeability,
-                             kappa_pi, moment, parse_fraction)
+from epsym.cumulants import CumulantSpec, kappa_pi, moment, parse_fraction
 from epsym.epsmat import preset
+from epsym.groups import check_eps_exchangeability
 from epsym.partitions import Category, SetPartition, nc_eps_set, parse_partition
 
 SEMI = CumulantSpec.semicircle

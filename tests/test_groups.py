@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from strategies import eps_matrices, eps_with_word
 from epsym.epsmat import EpsilonMatrix, Permutation, make_epsilon, preset
-from epsym.groups import (_I2, _m2mul, automorphism_group, check_coxeter_rep,
+from epsym.groups import (_I2, _mmul, automorphism_group, check_coxeter_rep,
                           coxeter_rep, entries_commute, perm_representation,
                           permutation_satisfies_R_eps,
                           projection_pair_representation, rep_check,
@@ -129,8 +129,8 @@ def test_two_free_generators_do_not_commute():
     rep = coxeter_rep(preset("free", 2))
     a = rep.generator(1)[0]
     b = rep.generator(2)[0]
-    assert _m2mul(a, b) == ((0, -1), (1, 0))
-    assert _m2mul(a, b) != _m2mul(b, a)
+    assert _mmul(a, b) == ((0, -1), (1, 0))
+    assert _mmul(a, b) != _mmul(b, a)
 
 
 def test_comm_pattern_generators_all_commute():
@@ -138,7 +138,7 @@ def test_comm_pattern_generators_all_commute():
     for i in range(1, 4):
         for j in range(i + 1, 4):
             for gi, gj in zip(rep.generator(i), rep.generator(j)):
-                assert _m2mul(gi, gj) == _m2mul(gj, gi)
+                assert _mmul(gi, gj) == _mmul(gj, gi)
 
 
 def test_cycle5_commutations_match_pattern():
@@ -146,7 +146,7 @@ def test_cycle5_commutations_match_pattern():
     rep = coxeter_rep(eps)
     for i in range(1, 6):
         for j in range(i + 1, 6):
-            commute = all(_m2mul(a, b) == _m2mul(b, a)
+            commute = all(_mmul(a, b) == _mmul(b, a)
                           for a, b in zip(rep.generator(i), rep.generator(j)))
             assert commute == (eps[i, j] == 1)
 
@@ -155,6 +155,21 @@ def test_cycle5_commutations_match_pattern():
 def test_coxeter_check_passes_on_presets(name, eps):
     report = check_coxeter_rep(eps)
     assert report.passed, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("word", [(0,), (1, 6), (2, True), (1.0,)], ids=repr)
+def test_word_blocks_validates_letters(word):
+    with pytest.raises(ValueError, match="index entry") as info:
+        coxeter_rep(preset("free", 5)).word_blocks(word)
+    assert "\n" not in str(info.value)
+
+
+def test_word_blocks_moves_only_moved_planes():
+    rep = coxeter_rep(preset("ex-f"))
+    for k, moved in enumerate(rep.moves, start=1):
+        assert [pi for pi, _ in moved] == [
+            pi for pi, (i, j) in enumerate(rep.pairs)
+            if k in (i, j) and preset("ex-f")[i, j] == 0]
 
 
 # --- the word problem -------------------------------------------------------------
@@ -254,6 +269,7 @@ def test_five_thousand_letter_words(name, eps):
     assert word_reduce(nf, eps) == nf
     rep = coxeter_rep(eps)
     assert rep.word_blocks(nf) == rep.word_blocks(w)
+    assert rep.word_blocks(w) == oracles.naive_word_blocks(rep, w)
     assert _odd_letters(nf) == _odd_letters(w)
 
 
@@ -301,6 +317,7 @@ def test_normal_form_sound_against_reflection_rep(ew):
     eps, w = ew
     rep = coxeter_rep(eps)
     assert rep.word_blocks(w) == rep.word_blocks(word_reduce(w, eps))
+    assert rep.word_blocks(w) == oracles.naive_word_blocks(rep, w)
 
 
 def test_normal_form_idempotent():

@@ -1,14 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import eps_matrices, eps_with_index, rgs_partitions
-from epsym.epsmat import preset
+from epsym.epsmat import preset, validate_index
 from epsym.partitions import (Category, SetPartition, TwoRowPartition,
                               enumerate_partitions, find_case2_index,
                               find_noncrossing_subpartition, format_partition,
-                              in_nc_eps, is_eps_noncrossing, is_refinement,
-                              kernel, nc_eps_set, parse_partition)
+                              in_nc_eps, is_eps_noncrossing, kernel,
+                              nc_eps_set, parse_partition)
 
 FIGURE_BLOCKS = [(1, 7, 15), (2, 5), (3, 4), (6, 10, 16), (8, 9), (11, 13), (12, 14)]
 
@@ -89,16 +91,16 @@ def test_enumeration_is_deterministic():
 # --- refinement --------------------------------------------------------------
 
 def test_refinement_examples():
-    assert is_refinement(P("{1}{2}"), P("{1,2}"))
-    assert not is_refinement(P("{1,2}"), P("{1}{2}"))
+    assert P("{1}{2}").refines(P("{1,2}"))
+    assert not P("{1,2}").refines(P("{1}{2}"))
     with pytest.raises(ValueError):
-        is_refinement(P("{1}{2}"), P("{1,2,3}"))
+        P("{1}{2}").refines(P("{1,2,3}"))
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_refinement_is_reflexive(k):
     for pi in enumerate_partitions(k):
-        assert is_refinement(pi, pi)
+        assert pi.refines(pi)
 
 
 # --- the pattern-aware crossing predicate ------------------------------------
@@ -233,6 +235,38 @@ def test_in_nc_eps_matches_definition():
     for pi in enumerate_partitions(4):
         want = pi.refines(kernel(i)) and is_eps_noncrossing(pi, i, eps)
         assert in_nc_eps(pi, i, eps) == want
+
+
+# every label check goes through validate_index; two singletons pass the
+# kernel test, so in_nc_eps reaches the labels too
+LABEL_CHECKS = {
+    "validate_index": lambda w: validate_index(w, 2),
+    "nc_eps_set": lambda w: nc_eps_set(w, preset("comm", 2)),
+    "is_eps_noncrossing": lambda w: is_eps_noncrossing(P("{1}{2}"), w, preset("comm", 2)),
+    "in_nc_eps": lambda w: in_nc_eps(P("{1}{2}"), w, preset("comm", 2)),
+}
+
+
+@pytest.mark.parametrize("letter", [2.5, 1.0, "1", True, False, None, Fraction(1)],
+                         ids=repr)
+@pytest.mark.parametrize("name", list(LABEL_CHECKS))
+def test_label_checks_reject_non_integers(name, letter):
+    with pytest.raises(ValueError, match="not an integer") as info:
+        LABEL_CHECKS[name]((1, letter))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("word", [(0, 5), (1, 3), (0, 2)], ids=repr)
+@pytest.mark.parametrize("name", list(LABEL_CHECKS))
+def test_label_checks_reject_labels_outside_range(name, word):
+    with pytest.raises(ValueError, match=r"must lie in 1\.\.2") as info:
+        LABEL_CHECKS[name](word)
+    assert "\n" not in str(info.value)
+
+
+def test_in_nc_eps_rejects_crossing_labels_outside_range():
+    with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
+        in_nc_eps(P("{1,3}{2,4}"), (0, 3, 0, 3), preset("comm", 2))
 
 
 # --- subpartition search ------------------------------------------------------
