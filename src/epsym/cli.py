@@ -337,8 +337,13 @@ def _cmd_paper_examples(args) -> int:
     return 0 if suite.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage block; subparsers inherit it
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="eps",
         description="exact calculus for partial-commutation symmetries")
     sub = ap.add_subparsers(dest="verb", required=True)

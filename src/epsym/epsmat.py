@@ -208,7 +208,7 @@ def validate_index(values, n: int) -> tuple[int, ...]:
     """Check a multi-index: every entry must be an integer in 1..n."""
     vals = tuple(values)
     for pos, v in enumerate(vals):
-        if isinstance(v, bool) or not isinstance(v, int):  # bool is an int subclass
+        if type(v) is not int:  # rejects bool and every other int subclass
             raise ValueError(f"index entry {pos + 1} is {v!r}, not an integer")
         if not 1 <= v <= n:
             raise ValueError(f"index entry {pos + 1} is {v!r}, must lie in 1..{n}")

@@ -16,9 +16,10 @@ The reduction strictly shrinks or untangles the partition and ends when
 one removal consumes everything.  Each step acts on a window of adjacent
 legs, so the composition applies each step's core to that window of the
 running map's outputs (``TensorMap.on_legs``) instead of padding it with
-identities.  Composing the step maps yields a degree (k -> 0) map; the
-oracle check compares its values on all (or sampled) basis vectors
-against the independent combinatorial membership test.
+identities, from the scalar end: adjoint cores in reverse step order, so
+every intermediate map is a transposed indicator of at most n^{#blocks}
+entries.  The oracle check compares the (k -> 0) result on all (or
+sampled) basis vectors against the independent membership test.
 
 The move choices depend only on the partition, never on the pattern or
 the family, so a trace can be reused across patterns; the pattern enters
@@ -41,6 +42,9 @@ from .partitions import (Category, SetPartition, enumerate_partitions,
 from .report import CheckReport
 from .tensormaps import TensorMap, TwoRowPartition, r_map, t_pi
 
+# Keyed on n**k, the vectors a full oracle check walks; keyed on the
+# n**#blocks entries a map holds, the benchmark's walk-route items (up to
+# 8 blocks at n = 5) would be materialised and evaluate_trace unexercised.
 MATERIALIZE_LIMIT = 10 ** 6
 
 
@@ -107,20 +111,21 @@ def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
 
 
 def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
-    """Materialise the composed step maps as one sparse (k -> 0) map.
+    """Materialise the composed step maps as one sparse (k -> end) map,
+    end = 0 for a complete trace.
 
-    Each step's core acts on its own window of legs: the adjoint
-    spreading map of ``sigma`` on legs p..q, or the gated swap on legs
-    l, l+1."""
-    composed = TensorMap.identity(n, trace.initial.k)
-    for step in trace.steps:
+    Composes the adjoint from the end: each step's adjoint core (the
+    spreading map of ``sigma`` into legs p..q, or the self-adjoint gated
+    swap on legs l, l+1), in reverse step order, then transposes."""
+    end = trace.steps[-1].points if trace.steps else trace.initial.k
+    composed = TensorMap.identity(n, end)
+    for step in reversed(trace.steps):
         if step.case == 1:
-            sigma = step.sigma
-            core = t_pi(TwoRowPartition(sigma.k, 0, sigma), n)  # e_j -> [sigma <= ker j]
+            core = t_pi(TwoRowPartition(0, step.sigma.k, step.sigma), n)
             composed = core.on_legs(step.p - 1, composed)
         else:
             composed = r_map("cross1", trace.eps, n).on_legs(step.l - 1, composed)
-    return composed
+    return composed.adjoint()
 
 
 def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> Fraction:

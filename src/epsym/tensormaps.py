@@ -12,18 +12,20 @@ normalises every value it stores, so equal maps have equal tables.
 ``left .. left + core.k_in - 1`` of ``other``'s outputs.  It equals
 ``(identity(n, left) ⊗ core ⊗ identity(n, rest)) @ other`` but builds no
 identity blocks: it slices each output label of ``other``, looks the
-slice up in ``core`` and splices the image back in.  Chains of such
-window steps are how the indicator route and the bridge identities
-compose their elementary maps.
+slice up in ``core`` and splices the image back in; ``a @ b`` is
+``a.on_legs(0, b)``.  Chains of such window steps are how the indicator
+route and the bridge identities compose their elementary maps.
 
-Builders provided here:
+Every builder writes entry 1 (upper word -> lower word) per labelling of
+a two-row partition's blocks by 1..n, unless a pattern gate rejects it:
 
 * ``t_pi`` turns a two-row partition into its 0/1 spreading map: an
   input basis vector goes to the sum of all output basis vectors whose
   combined labelling is constant on every block.
 * ``r_map`` builds the four pattern-gated maps on two legs: the gated
   swap, the gated identity and its complement, and the pair-to-pair
-  spread over pattern-zero partners.
+  spread over pattern-zero partners; ``eps_as_map`` and
+  ``free_neighbors_map`` gate {1}{2} on one leg.
 * ``s_box`` superposes those into the three mixed boxes (swap where the
   pattern is 1, something else where it is 0).
 
@@ -35,18 +37,16 @@ pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
 from .epsmat import EpsilonMatrix
-from .partitions import SetPartition, TwoRowPartition
+from .partitions import TwoRowPartition
 from .report import CheckResult, SuiteReport
 
 Label = tuple[int, ...]
 
-R_KINDS = ("cross1", "idid1", "idid0", "paarbaar0")
 S_KINDS = ("cross-id", "cross-paar", "id-paar")
 
 
@@ -132,15 +132,7 @@ class TensorMap:
         if other.k_out != self.k_in:
             raise ValueError(f"cannot compose {self.k_in}->{self.k_out} "
                              f"after {other.k_in}->{other.k_out}")
-        out = TensorMap(self.n, other.k_in, self.k_out)
-        for i, mids in other.rows.items():
-            for mid, c in mids.items():
-                row = self.rows.get(mid)
-                if not row:
-                    continue
-                for j, c2 in row.items():
-                    out.add_entry(i, j, c * c2)
-        return out
+        return self.on_legs(0, other)
 
     def on_legs(self, left: int, other: "TensorMap") -> "TensorMap":
         """``(identity(n, left) ⊗ self ⊗ identity(n, rest)) @ other``.
@@ -254,6 +246,18 @@ DREIPARTROT = TwoRowPartition.of(2, 1, [(1, 2, 3)])  # e_i x e_j -> [i == j] e_i
 VIERPARTROT = TwoRowPartition.of(2, 2, [(1, 2, 3, 4)])
 
 
+def _labellings(pi: TwoRowPartition, n: int, keep=None) -> TensorMap:
+    """Entry (upper word -> lower word) = 1 for every labelling of the
+    blocks of ``pi`` by 1..n whose block values ``keep`` accepts."""
+    owner, k = pi.underlying.owner, pi.k
+    out = TensorMap(n, k, pi.l)
+    for vals in product(range(1, n + 1), repeat=len(pi.underlying.blocks)):
+        if keep is None or keep(vals):
+            word = tuple(vals[b] for b in owner)
+            out.rows.setdefault(word[:k], {})[word[k:]] = 1
+    return out
+
+
 def t_pi(pi: TwoRowPartition, n: int) -> TensorMap:
     """The 0/1 spreading map of a two-row partition.
 
@@ -261,37 +265,7 @@ def t_pi(pi: TwoRowPartition, n: int) -> TensorMap:
     combined word (i, j) is constant on every block.  Blocks with no
     upper point range freely over {1..n}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k, l = pi.k, pi.l
-    blocks = pi.underlying.blocks
-    out = TensorMap(n, k, l)
-    for i in product(range(1, n + 1), repeat=k):
-        forced: dict[int, int] = {}
-        free_blocks: list[list[int]] = []
-        ok = True
-        for b in blocks:
-            uppers = {i[p - 1] for p in b if p <= k}
-            lowers = [p - k for p in b if p > k]
-            if len(uppers) > 1:
-                ok = False
-                break
-            if uppers:
-                v = uppers.pop()
-                for qpos in lowers:
-                    forced[qpos] = v
-            elif lowers:
-                free_blocks.append(lowers)
-        if not ok:
-            continue
-        for choice in product(range(1, n + 1), repeat=len(free_blocks)):
-            assign = dict(forced)
-            for positions, v in zip(free_blocks, choice):
-                for qpos in positions:
-                    assign[qpos] = v
-            label = tuple(assign[qpos] for qpos in range(1, l + 1))
-            out.add_entry(i, label, 1)
-    return out
+    return _labellings(pi, n)
 
 
 def _base_dim(eps: EpsilonMatrix, n: int | None) -> int:
@@ -300,6 +274,12 @@ def _base_dim(eps: EpsilonMatrix, n: int | None) -> int:
     if n < 1 or n > eps.n:
         raise ValueError(f"base dimension must lie in 1..{eps.n}")
     return n
+
+
+# kind -> (two-row partition, pattern entry its two block values must carry)
+_GATED = {"cross1": (CROSS, 1), "idid1": (IDID, 1), "idid0": (IDID, 0),
+          "paarbaar0": (PAARBAAR, 0)}
+_ONE_LEG = TwoRowPartition.of(1, 1, [(1,), (2,)])
 
 
 def r_map(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
@@ -311,26 +291,10 @@ def r_map(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
     paarbaar0: e_i x e_j -> [i = j] sum_k [eps_ik = 0] e_k x e_k
     """
     n = _base_dim(eps, n)
-    out = TensorMap(n, 2, 2)
-    for i, j in product(range(1, n + 1), repeat=2):
-        e = eps[i, j]
-        if kind == "cross1":
-            if e == 1:
-                out.add_entry((i, j), (j, i), 1)
-        elif kind == "idid1":
-            if e == 1:
-                out.add_entry((i, j), (i, j), 1)
-        elif kind == "idid0":
-            if e == 0:
-                out.add_entry((i, j), (i, j), 1)
-        elif kind == "paarbaar0":
-            if i == j:
-                for m in range(1, n + 1):
-                    if eps[i, m] == 0:
-                        out.add_entry((i, j), (m, m), 1)
-        else:
-            raise ValueError(f"unknown map kind {kind!r}; known: {', '.join(R_KINDS)}")
-    return out
+    if kind not in _GATED:
+        raise ValueError(f"unknown map kind {kind!r}; known: {', '.join(_GATED)}")
+    pi, gate = _GATED[kind]
+    return _labellings(pi, n, lambda v: eps[v] == gate)
 
 
 def s_box(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
@@ -346,24 +310,12 @@ def s_box(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
 
 def eps_as_map(eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
     """The pattern itself as a map: e_i -> sum_k [eps_ik = 1] e_k."""
-    n = _base_dim(eps, n)
-    out = TensorMap(n, 1, 1)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if eps[i, k] == 1:
-                out.add_entry((i,), (k,), 1)
-    return out
+    return _labellings(_ONE_LEG, _base_dim(eps, n), lambda v: eps[v] == 1)
 
 
 def free_neighbors_map(eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
     """e_i -> sum over the pattern-zero partners of i (including i itself)."""
-    n = _base_dim(eps, n)
-    out = TensorMap(n, 1, 1)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if eps[i, k] == 0:
-                out.add_entry((i,), (k,), 1)
-    return out
+    return _labellings(_ONE_LEG, _base_dim(eps, n), lambda v: eps[v] == 0)
 
 
 # ---------------------------------------------------------------------------

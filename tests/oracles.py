@@ -5,13 +5,15 @@ partitions are enumerated by point insertion instead of growth strings,
 noncrossing partitions by the first-block gap recursion, crossing
 predicates by literal quadruple loops, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
-and a quadratic lex-least selection, and a word's reflection-representation
-action by a plane-by-plane product.
+and a quadratic lex-least selection, a word's reflection-representation
+action by a plane-by-plane product, and the tensor maps as coefficient
+tables by brute force over all label pairs.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 
@@ -252,6 +254,56 @@ def naive_word_blocks(rep, word) -> tuple:
             m = mul(m, rep.gens[letter - 1][plane])
         out.append(m)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# tensor maps as {(input label, output label): coefficient} tables
+
+def naive_t_pi(pi, n) -> dict:
+    """T_pi by brute force over all n^(k+l) label pairs: (i, j) has entry 1
+    when the combined word is constant on every block."""
+    k, l = pi.k, pi.l
+    out = {}
+    for word in product(range(1, n + 1), repeat=k + l):
+        if all(len({word[p - 1] for p in b}) == 1 for b in pi.underlying.blocks):
+            out[word[:k], word[k:]] = 1
+    return out
+
+
+def naive_r_map(kind, eps, n) -> dict:
+    """The gated two-leg maps, written from their defining formulas."""
+    if kind not in ("cross1", "idid1", "idid0", "paarbaar0"):
+        raise ValueError(kind)
+    out = {}
+    for i, j in product(range(1, n + 1), repeat=2):
+        if kind == "cross1" and eps[i, j] == 1:
+            out[(i, j), (j, i)] = 1
+        elif kind == "idid1" and eps[i, j] == 1:
+            out[(i, j), (i, j)] = 1
+        elif kind == "idid0" and eps[i, j] == 0:
+            out[(i, j), (i, j)] = 1
+        elif kind == "paarbaar0" and i == j:
+            for m in range(1, n + 1):
+                if eps[i, m] == 0:
+                    out[(i, i), (m, m)] = 1
+    return out
+
+
+def naive_one_leg(eps, n, gate) -> dict:
+    """e_i -> sum_k [eps_ik = gate] e_k: the pattern (gate 1) or its
+    free-neighbour complement (gate 0) as a one-leg map."""
+    return {((i,), (k,)): 1 for i in range(1, n + 1) for k in range(1, n + 1)
+            if eps[i, k] == gate}
+
+
+def naive_compose(after, before) -> dict:
+    """``after`` following ``before``, summed over every middle label."""
+    out = {}
+    for (i, mid), c in before.items():
+        for (mid2, j), c2 in after.items():
+            if mid == mid2:
+                out[i, j] = out.get((i, j), 0) + c * c2
+    return {key: c for key, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ def test_double_dash_value_exits_cleanly(path, option):
             code = main(argv)
         except SystemExit as exc:
             # newer argparse reads the value as '--' and rejects it itself
-            # for a typed option, after its usage lines
+            # for a typed option
             code = exc.code
-            assert f"argument {option}" in err.getvalue().splitlines()[-1], argv
+            lines = err.getvalue().splitlines()
+            assert len(lines) <= 1 and f"argument {option}" in lines[-1], argv
         else:
             assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     assert code == 2, (argv, code, err.getvalue())
@@ -240,6 +241,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-verb"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # argparse's own errors: one line, no usage block
+    for argv in (["partitions", "--json=--"], ["partitions"],
+                 ["partitions", "--k", "x"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_malformed_eps_file_exit_2(tmp_path, capsys):

@@ -63,6 +63,21 @@ def test_compose_trace_map_matches_padded_composition(name, n):
                        for c in row.values())
 
 
+@pytest.mark.parametrize("name", ["ex-f", "comm3", "free3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_compose_trace_map_matches_padded_composition_on_prefixes(name, n):
+    # a prefix trace ends at a positive degree: the composition must
+    # start there, not at the scalars
+    eps = PADDED_PATTERNS[name]
+    for k in range(6):
+        for pi in enumerate_partitions(k):
+            trace, _ = run_algorithm(pi, eps, Category.ALL, n)
+            for m in range(len(trace.steps) + 1):
+                prefix = AlgorithmTrace(pi, eps, Category.ALL, trace.steps[:m])
+                assert compose_trace_map(prefix, n) == padded_trace_map(prefix, n), \
+                    (name, n, pi, m)
+
+
 def test_single_pair_is_the_pair_contraction():
     eps = preset("free", 2)
     trace, mp = run_algorithm(parse_partition("{1,2}"), eps, Category.PAIR, 2)

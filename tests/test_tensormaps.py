@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsym.epsmat import make_epsilon, preset
+import oracles
+from epsym.epsmat import PRESET_NAMES, make_epsilon, preset
 from epsym.partitions import SetPartition, TwoRowPartition, enumerate_partitions
 from epsym.tensormaps import (BAAR, CROSS, DREIPARTROT, IDID, PAAR, PAARBAAR,
                               VIERPARTROT, TensorMap, box_calculus_suite,
@@ -24,6 +25,23 @@ ALL_PRESETS = [
 
 def basis(n, k):
     return product(range(1, n + 1), repeat=k)
+
+
+def table(m):
+    """A map's coefficients as {(input label, output label): coefficient}."""
+    return {(i, j): c for i, j, c in m.entries()}
+
+
+# every preset of size <= 5: comm/free at each size, block at each split,
+# and the fixed patterns
+SMALL_PRESETS = [
+    *((f"{name}{s}", preset(name, s)) for name in ("comm", "free")
+      for s in range(1, 6)),
+    *((f"block-{a}-{b}", preset("block", a, b))
+      for a in range(1, 5) for b in range(1, 6 - a)),
+    *((name, preset(name)) for name in PRESET_NAMES
+      if name not in ("comm", "free", "block") and preset(name).n <= 5),
+]
 
 
 # --- the spreading maps ------------------------------------------------------
@@ -55,6 +73,30 @@ def test_t_pi_free_lower_blocks_spread():
     pi = TwoRowPartition.of(1, 2, [(1, 2), (3,)])
     m = t_pi(pi, 2)
     assert m.apply((1,)) == {(1, 1): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_t_pi_matches_brute_force(n):
+    for total in range(6):
+        for pi in enumerate_partitions(total):
+            for k in range(total + 1):
+                two = TwoRowPartition(k, total - k, pi)
+                m = t_pi(two, n)
+                assert (m.n, m.k_in, m.k_out) == (n, k, total - k)
+                assert table(m) == oracles.naive_t_pi(two, n), (two, n)
+
+
+@pytest.mark.parametrize("name,eps", SMALL_PRESETS, ids=[p[0] for p in SMALL_PRESETS])
+def test_gated_maps_match_their_formulas(name, eps):
+    for n in range(1, eps.n + 1):
+        for kind in ("cross1", "idid1", "idid0", "paarbaar0"):
+            m = r_map(kind, eps, n)
+            assert (m.n, m.k_in, m.k_out) == (n, 2, 2)
+            assert table(m) == oracles.naive_r_map(kind, eps, n), (kind, n)
+        for build, gate in ((eps_as_map, 1), (free_neighbors_map, 0)):
+            m = build(eps, n)
+            assert (m.n, m.k_in, m.k_out) == (n, 1, 1)
+            assert table(m) == oracles.naive_one_leg(eps, n, gate), (build, n)
 
 
 def test_adjoint_is_reflection():
@@ -293,6 +335,23 @@ def padded(core, left, other):
     n, right = core.n, other.k_out - left - core.k_in
     return TensorMap.identity(n, left).tensor(core).tensor(
         TensorMap.identity(n, right)) @ other
+
+
+@st.composite
+def composable_pairs(draw):
+    n, mid = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    return (draw(sparse_maps(n, mid, draw(st.integers(0, 2)))),
+            draw(sparse_maps(n, draw(st.integers(0, 2)), mid)))
+
+
+@given(composable_pairs())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_brute_force(pair):
+    after, before = pair
+    got = after @ before
+    assert (got.k_in, got.k_out) == (before.k_in, after.k_out)
+    assert table(got) == oracles.naive_compose(table(after), table(before))
+    assert _stored_form(got)
 
 
 @given(window_cases())
