@@ -18,8 +18,14 @@ legs, so the composition applies each step's core to that window of the
 running map's outputs (``TensorMap.on_legs``) instead of padding it with
 identities, from the scalar end: adjoint cores in reverse step order, so
 every intermediate map is a transposed indicator of at most n^{#blocks}
-entries.  The oracle check compares the (k -> 0) result on all (or
-sampled) basis vectors against the independent membership test.
+entries.
+
+The oracle check decides all n^k basis vectors without visiting them:
+the indicator's support is the set of labellings of the partition's
+blocks by 1..n under which every pair of crossing blocks carries
+pattern entry 1, built point by point and compared with the (k -> 0)
+result's rows in one pass.  A sampled check instead walks its
+drawn vectors one by one through the membership test.
 
 The move choices depend only on the partition, never on the pattern or
 the family, so a trace can be reused across patterns; the pattern enters
@@ -40,7 +46,7 @@ from .partitions import (Category, SetPartition, enumerate_partitions,
                          find_case2_index, find_noncrossing_subpartition,
                          in_nc_eps)
 from .report import CheckReport
-from .tensormaps import TensorMap, TwoRowPartition, r_map, t_pi
+from .tensormaps import Label, TensorMap, TwoRowPartition, r_map, t_pi
 
 # Keyed on n**k, the vectors a full oracle check walks; keyed on the
 # n**#blocks entries a map holds, the benchmark's walk-route items (up to
@@ -174,32 +180,70 @@ def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
     return trace, None
 
 
+def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
+    """The words on which the indicator of ``pi`` is 1: the labellings of
+    its blocks by 1..n under which every pair of crossing blocks carries
+    pattern entry 1.  Built point by point: a block's first point takes
+    each label allowed against the earlier blocks it crosses, and its
+    later points repeat that label."""
+    own = pi.owner
+    first = [b[0] - 1 for b in pi.blocks]
+    crossed: list[set[int]] = [set() for _ in pi.blocks]
+    for p, q in pi.crossing_pairs:
+        a, b = sorted((own[p - 1], own[q - 1]))
+        crossed[b].add(first[a])
+    labels = range(1, n + 1)
+    words: list[Label] = [()]
+    for p, b in enumerate(own):
+        f = first[b]
+        if f < p:
+            words = [w + (w[f],) for w in words]
+        else:
+            words = [w + (v,) for w in words for v in labels
+                     if all(eps[v, w[a]] == 1 for a in crossed[b])]
+    return set(words)
+
+
+def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> CheckReport:
+    return CheckReport(False, checked, f"pi={pi}, i={i}: map gives {got}, "
+                                       f"membership gives {want}")
+
+
 def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
                   sample: Optional[int] = None, seed: int = 0) -> CheckReport:
     """Compare the composed map against the combinatorial membership test.
 
-    With ``sample`` unset, all n**k basis vectors are checked; otherwise
-    that many are drawn reproducibly from the given seed.
+    With ``sample`` unset, all n**k basis vectors are decided at once:
+    the map must be 1 on exactly the admissible block labellings
+    (:func:`_support`) and 0 elsewhere.  A failure names the
+    lexicographically least wrong vector, with its rank in
+    lexicographic order as the number checked.  Otherwise ``sample``
+    vectors are drawn reproducibly from the given seed and each is
+    checked against :func:`in_nc_eps`.
     """
     trace, mp = run_algorithm(pi, eps, cat, n)
     k = pi.k
     if sample is None:
         if n ** k > MATERIALIZE_LIMIT:
             raise ValueError("space too large to enumerate; pass sample=")
-        indices = product(range(1, n + 1), repeat=k)
-    else:
-        rng = random.Random(seed)
-        indices = (tuple(rng.randint(1, n) for _ in range(k))
-                   for _ in range(sample))
+        support = _support(pi, eps, n)
+        rows = mp.rows
+        wrong = [i for i in support.union(rows)
+                 if rows.get(i, {}).get((), 0) != (1 if i in support else 0)]
+        if not wrong:
+            return CheckReport(True, n ** k)
+        bad = min(wrong)
+        rank = 1 + sum((v - 1) * n ** (k - 1 - p) for p, v in enumerate(bad))
+        return _mismatch(pi, bad, rank, mp.scalar_at(bad, ()),
+                         1 if bad in support else 0)
+    rng = random.Random(seed)
     checked = 0
-    for i in indices:
+    for checked in range(1, sample + 1):
+        i = tuple(rng.randint(1, n) for _ in range(k))
         got = mp.scalar_at(i, ()) if mp is not None else evaluate_trace(trace, i)
         want = 1 if in_nc_eps(pi, i, eps) else 0
-        checked += 1
         if got != want:
-            return CheckReport(False, checked,
-                               f"pi={pi}, i={i}: map gives {got}, "
-                               f"membership gives {want}")
+            return _mismatch(pi, i, checked, got, want)
     return CheckReport(True, checked)
 
 

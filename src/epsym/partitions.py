@@ -14,7 +14,7 @@ the kernel of ``i`` are the summation domain of the mixed
 moment-cumulant formula and the support of the indicator functional
 built in :mod:`epsym.indicator`.  The test lives in one place,
 :func:`is_eps_noncrossing`; :func:`in_nc_eps` adds the kernel test in
-front of it, and every word's labels are checked by
+front of it, and every word's labels are checked first, by
 :func:`epsym.epsmat.validate_index`.
 
 :func:`nc_eps_set` generates them directly rather than filtering all
@@ -180,6 +180,13 @@ class TwoRowPartition:
     l: int
     underlying: SetPartition
 
+    def __post_init__(self):
+        if self.k < 0 or self.l < 0:
+            raise ValueError(f"row sizes {self.k} and {self.l} must be nonnegative")
+        if self.k + self.l != self.underlying.k:
+            raise ValueError(f"rows of {self.k} and {self.l} points need a partition "
+                             f"of {self.k + self.l} points, not {self.underlying.k}")
+
     @classmethod
     def of(cls, k: int, l: int, blocks: Iterable[Iterable[int]]) -> "TwoRowPartition":
         return cls(k, l, SetPartition.of(k + l, blocks))
@@ -287,16 +294,14 @@ def is_eps_noncrossing(pi: SetPartition, i: Sequence[int],
 def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: EpsilonMatrix) -> bool:
     """Membership of ``pi`` in the admissible refinements of ker i.
 
-    The kernel test runs first, so a word whose labels already split a
-    block is refused before its labels are validated.
+    The labels are validated before the kernel test, so a bad word
+    raises even when it splits a block.
     """
-    vals = tuple(i)
+    vals = validate_index(i, eps.n)
     if len(vals) != pi.k:
         raise ValueError(f"index length {len(vals)} != point count {pi.k}")
-    for b in pi.blocks:
-        v0 = vals[b[0] - 1]
-        if any(vals[p - 1] != v0 for p in b):
-            return False
+    if any(vals[p - 1] != vals[b[0] - 1] for b in pi.blocks for p in b):
+        return False
     return is_eps_noncrossing(pi, vals, eps)
 
 

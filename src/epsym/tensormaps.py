@@ -181,11 +181,13 @@ class TensorMap:
 
     def adjoint(self) -> "TensorMap":
         """Transpose of the coefficient table (entries are rational, so
-        conjugation is trivial)."""
+        conjugation is trivial).  Every entry is already stored and
+        validated, so the transposed table is written directly."""
         out = TensorMap(self.n, self.k_out, self.k_in)
+        rows = out.rows
         for i, row in self.rows.items():
             for j, c in row.items():
-                out.add_entry(j, i, c)
+                rows.setdefault(j, {})[i] = c
         return out
 
     def __add__(self, other: "TensorMap") -> "TensorMap":

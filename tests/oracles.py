@@ -6,8 +6,9 @@ noncrossing partitions by the first-block gap recursion, crossing
 predicates by literal quadruple loops, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
 and a quadratic lex-least selection, a word's reflection-representation
-action by a plane-by-plane product, and the tensor maps as coefficient
-tables by brute force over all label pairs.
+action by a plane-by-plane product, the tensor maps as coefficient
+tables by brute force over all label pairs, and the indicator check
+vector by vector.
 """
 
 from bisect import bisect_left
@@ -304,6 +305,27 @@ def naive_compose(after, before) -> dict:
             if mid == mid2:
                 out[i, j] = out.get((i, j), 0) + c * c2
     return {key: c for key, c in out.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# the indicator check, one basis vector at a time
+
+def naive_verify_oracle(pi, eps, n, mp) -> tuple:
+    """The full oracle check as a loop over all n^k basis vectors in
+    lexicographic order: membership is the kernel test plus the literal
+    crossing pairs.  Returns (passed, checked, counterexample) and stops
+    at the first vector where the (k -> 0) map ``mp`` disagrees."""
+    pairs = naive_crossing_pairs(pi)
+    checked = 0
+    for i in product(range(1, n + 1), repeat=pi.k):
+        member = all(len({i[p - 1] for p in b}) == 1 for b in pi.blocks) and \
+            all(eps[i[p - 1], i[q - 1]] == 1 for p, q in pairs)
+        got, want = mp.scalar_at(i, ()), 1 if member else 0
+        checked += 1
+        if got != want:
+            return False, checked, (f"pi={pi}, i={i}: map gives {got}, "
+                                    f"membership gives {want}")
+    return True, checked, None
 
 
 # ---------------------------------------------------------------------------

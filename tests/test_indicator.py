@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from strategies import eps_matrices, rgs_partitions
+from epsym import indicator
 from epsym.cumulants import CumulantSpec
 from epsym.epsmat import preset
 from epsym.indicator import (MATERIALIZE_LIMIT, AlgorithmTrace,
@@ -252,6 +254,72 @@ def test_oracle_counterexample_reporting():
     rep = verify_oracle(parse_partition("{1,2}"), preset("free", 2),
                         Category.ALL, 2)
     assert rep.passed and rep.checked == 4 and rep.counterexample is None
+
+
+# --- the support check against the vector-by-vector oracle ---------------------
+
+ORACLE_PATTERNS = {"ex-d": preset("ex-d"), "ex-e": preset("ex-e"),
+                   "ex-f": preset("ex-f"), "comm3": preset("comm", 3),
+                   "free3": preset("free", 3)}
+
+
+def as_tuple(rep):
+    return rep.passed, rep.checked, rep.counterexample
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PATTERNS))
+def test_full_check_matches_vector_by_vector_oracle(name):
+    eps = ORACLE_PATTERNS[name]
+    for n in (1, 2, 3):
+        for k in range(7):
+            for pi in enumerate_partitions(k):
+                _, mp = run_algorithm(pi, eps, Category.ALL, n)
+                rep = verify_oracle(pi, eps, Category.ALL, n)
+                assert as_tuple(rep) == oracles.naive_verify_oracle(pi, eps, n, mp)
+                assert rep.passed and rep.checked == n ** k, (name, n, pi)
+
+
+def corruptions(mp, n):
+    """Copies of a (k -> 0) map's rows with its first, middle or last
+    support word dropped or set to 2, or a constant word added where
+    the map is 0; then all at once: the last word dropped, the middle
+    set to 2 and every absent constant word added."""
+    words = sorted(mp.rows)
+    picks = sorted({0, len(words) // 2, len(words) - 1}) if words else []
+    spurious = {(v,) * mp.k_in: {(): 1} for v in range(1, n + 1)
+                if (v,) * mp.k_in not in mp.rows}
+    for at in picks:
+        yield {w: r for w, r in mp.rows.items() if w != words[at]}
+        yield {**mp.rows, words[at]: {(): 2}}
+    for word, row in spurious.items():
+        yield {**mp.rows, word: row}
+    if words:
+        rows = {w: r for w, r in mp.rows.items() if w != words[-1]}
+        yield {**rows, words[len(words) // 2]: {(): 2}, **spurious}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PATTERNS))
+def test_full_check_reports_like_the_oracle_on_corrupted_maps(name, monkeypatch):
+    # the first wrong vector in lexicographic order, its rank as the
+    # number checked, and the same message text
+    eps = ORACLE_PATTERNS[name]
+    compose = indicator.compose_trace_map
+    seen = 0
+    for n in (1, 2, 3):
+        for k in range(7):
+            for pi in enumerate_partitions(k):
+                trace, _ = run_algorithm(pi, eps, Category.ALL, n)
+                for rows in corruptions(compose(trace, n), n):
+                    bad = TensorMap(n, k, 0)
+                    bad.rows = rows
+                    monkeypatch.setattr(indicator, "compose_trace_map",
+                                        lambda trace, n, bad=bad: bad)
+                    rep = verify_oracle(pi, eps, Category.ALL, n)
+                    want = oracles.naive_verify_oracle(pi, eps, n, bad)
+                    assert not want[0]
+                    assert as_tuple(rep) == want, (name, n, pi)
+                    seen += 1
+    assert seen > 1000
 
 
 # --- moment consistency through the tensor route -------------------------------

@@ -244,6 +244,8 @@ LABEL_CHECKS = {
     "nc_eps_set": lambda w: nc_eps_set(w, preset("comm", 2)),
     "is_eps_noncrossing": lambda w: is_eps_noncrossing(P("{1}{2}"), w, preset("comm", 2)),
     "in_nc_eps": lambda w: in_nc_eps(P("{1}{2}"), w, preset("comm", 2)),
+    # one block: the kernel test alone would refuse most bad words
+    "in_nc_eps_one_block": lambda w: in_nc_eps(P("{1,2}"), w, preset("comm", 2)),
 }
 
 
@@ -427,3 +429,12 @@ def test_two_row_reflection():
     assert r.underlying == SetPartition.of(3, [(1, 2, 3)])
     cross = TwoRowPartition.of(2, 2, [(1, 4), (2, 3)])
     assert cross.reflected().underlying == cross.underlying
+
+
+@pytest.mark.parametrize("k,l,text", [(1, 1, "{1,2}{3}"), (2, 2, "{1,2,3}"),
+                                      (0, 0, "{1}"), (-1, 3, "{1,2}"),
+                                      (3, -1, "{1,2}")])
+def test_two_row_partition_checks_its_shape(k, l, text):
+    with pytest.raises(ValueError) as info:
+        TwoRowPartition(k, l, P(text))
+    assert "\n" not in str(info.value)
