@@ -210,7 +210,7 @@ def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> Check
 
 
 def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
-                  sample: Optional[int] = None, seed: int = 0) -> CheckReport:
+                  sample: Optional[int] = None) -> CheckReport:
     """Compare the composed map against the combinatorial membership test.
 
     With ``sample`` unset, all n**k basis vectors are decided at once:
@@ -218,9 +218,11 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
     (:func:`_support`) and 0 elsewhere.  A failure names the
     lexicographically least wrong vector, with its rank in
     lexicographic order as the number checked.  Otherwise ``sample``
-    vectors are drawn reproducibly from the given seed and each is
-    checked against :func:`in_nc_eps`.
+    (at least 1) vectors are drawn reproducibly from a fixed seed and
+    each is checked against :func:`in_nc_eps`.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     trace, mp = run_algorithm(pi, eps, cat, n)
     k = pi.k
     if sample is None:
@@ -236,8 +238,7 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
         rank = 1 + sum((v - 1) * n ** (k - 1 - p) for p, v in enumerate(bad))
         return _mismatch(pi, bad, rank, mp.scalar_at(bad, ()),
                          1 if bad in support else 0)
-    rng = random.Random(seed)
-    checked = 0
+    rng = random.Random(0)
     for checked in range(1, sample + 1):
         i = tuple(rng.randint(1, n) for _ in range(k))
         got = mp.scalar_at(i, ()) if mp is not None else evaluate_trace(trace, i)

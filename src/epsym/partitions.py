@@ -17,16 +17,16 @@ built in :mod:`epsym.indicator`.  The test lives in one place,
 front of it, and every word's labels are checked first, by
 :func:`epsym.epsmat.validate_index`.
 
-:func:`nc_eps_set` generates them directly rather than filtering all
-partitions: points are placed left to right, a point may join only an
-earlier block with its own label, and a join that would complete a
-crossing at pattern entry 0 is refused on the spot.  Trying joins in
-block order before opening a new block keeps restricted-growth order,
-so its list is exactly the admissible part of
-:func:`enumerate_partitions`, in the same order, at a cost that grows
-with the admitted set rather than with Bell(k).  The same "encloses"
-test decides whether two blocks cross: two disjoint blocks cross iff
-each encloses a point of the other.
+Both partition lists come from one placement loop: points are placed
+left to right, a point may join only an earlier block with its own
+label, and a join that would complete a crossing at pattern entry 0 is
+refused on the spot.  :func:`nc_eps_set` runs it on a word and its
+pattern; :func:`enumerate_partitions` runs it on one label whose single
+pattern entry admits every crossing or none.  Trying joins in block
+order before opening a new block keeps restricted-growth order, at a
+cost that grows with the admitted set rather than with Bell(k).  The
+same "encloses" test decides whether two blocks cross: two disjoint
+blocks cross iff each encloses a point of the other.
 """
 
 from __future__ import annotations
@@ -121,30 +121,29 @@ class SetPartition:
         own = other.owner
         return all(own[b[0] - 1] == own[p - 1] for b in self.blocks for p in b)
 
-    def restrict(self, p: int, q: int) -> "SetPartition":
-        """Restriction to the interval p..q, relabelled to 1..(q-p+1).
-
-        The interval must be closed under blocks.
-        """
-        sub = []
+    def _split(self, p: int, q: int) -> tuple[list[Block], list[Block]]:
+        """The blocks inside and outside the block-closed interval p..q."""
+        inside, outside = [], []
         for b in self.blocks:
             if b[0] >= p and b[-1] <= q:
-                sub.append(tuple(x - p + 1 for x in b))
+                inside.append(b)
             elif any(p <= x <= q for x in b):
                 raise ValueError(f"block {b} crosses the interval {p}..{q}")
-        return SetPartition(q - p + 1, tuple(sub))
+            else:
+                outside.append(b)
+        return inside, outside
+
+    def restrict(self, p: int, q: int) -> "SetPartition":
+        """Restriction to the block-closed interval p..q, relabelled to 1..(q-p+1)."""
+        inside, _ = self._split(p, q)
+        return SetPartition(q - p + 1, tuple(tuple(x - p + 1 for x in b) for b in inside))
 
     def remove_interval(self, p: int, q: int) -> "SetPartition":
         """Drop a block-closed interval p..q and relabel the remainder."""
         width = q - p + 1
-        keep = []
-        for b in self.blocks:
-            if b[0] >= p and b[-1] <= q:
-                continue
-            if any(p <= x <= q for x in b):
-                raise ValueError(f"block {b} crosses the interval {p}..{q}")
-            keep.append(tuple(x if x < p else x - width for x in b))
-        return SetPartition(self.k - width, tuple(keep))
+        _, outside = self._split(p, q)
+        return SetPartition(self.k - width,
+                            tuple(tuple(x if x < p else x - width for x in b) for b in outside))
 
     def swap_points(self, l: int) -> "SetPartition":
         """Exchange the legs sitting on points l and l+1."""
@@ -237,45 +236,21 @@ def kernel(values: Sequence[int]) -> SetPartition:
     return SetPartition(len(values), tuple(blocks))
 
 
-def _rgs_words(k: int):
-    if k == 0:
-        yield ()
-        return
-    word = [0] * k
-
-    def rec(pos: int, mx: int):
-        if pos == k:
-            yield tuple(word)
-            return
-        for v in range(mx + 2):
-            word[pos] = v
-            yield from rec(pos + 1, max(mx, v))
-
-    yield from rec(1, 0)
-
-
-def _from_rgs(k: int, rgs: tuple[int, ...]) -> SetPartition:
-    nblocks = max(rgs) + 1 if k else 0
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for pos, v in enumerate(rgs, start=1):
-        blocks[v].append(pos)
-    return SetPartition(k, tuple(tuple(b) for b in blocks))
+ENUMERATE_LIMIT = 11  # Bell(11) = 678,570 partitions; Bell(12) = 4,213,597
 
 
 def enumerate_partitions(k: int, cat: Category = Category.ALL,
                          noncrossing_only: bool = False) -> list[SetPartition]:
-    """All partitions of {1..k} in the family, restricted-growth order."""
+    """All partitions of {1..k} in the family, restricted-growth order.
+
+    One label and a one-entry pattern: every join is allowed, and the
+    entry admits every crossing (1) or none (0).
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = []
-    for rgs in _rgs_words(k):
-        pi = _from_rgs(k, rgs)
-        if cat is not Category.ALL and not cat.contains(pi):
-            continue
-        if noncrossing_only and not pi.is_noncrossing:
-            continue
-        out.append(pi)
-    return out
+    if k > ENUMERATE_LIMIT:
+        raise ValueError(f"k = {k} is too large to enumerate; the limit is {ENUMERATE_LIMIT}")
+    return _grow((1,) * k, ((0 if noncrossing_only else 1,),), cat)
 
 
 def is_eps_noncrossing(pi: SetPartition, i: Sequence[int],
@@ -307,24 +282,26 @@ def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: EpsilonMatrix) -> bool:
 
 def nc_eps_set(i: Sequence[int], eps: EpsilonMatrix,
                cat: Category = Category.ALL) -> list[SetPartition]:
-    """All partitions in the family admissible for the word ``i``.
+    """All partitions in the family admissible for the word ``i``."""
+    return _grow(validate_index(i, eps.n), eps.entries, cat)
 
-    Generated point by point: point p joins an earlier block carrying
-    the label ``i[p]``, so every candidate refines ker i, and a join is
-    refused as soon as it completes a crossing between two blocks whose
-    labels have pattern entry 0 (two blocks with one label never cross,
-    since the diagonal is 0).  Joins are tried in block order before a
-    new block is opened, so the list comes out in restricted-growth
-    order.  The block-size rule of ``cat`` is applied to each finished
-    candidate.  The cost grows with the number of admissible refinements
-    of ker i, not with the Bell number of ``len(i)``.
+
+def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
+          cat: Category) -> list[SetPartition]:
+    """Partitions in ``cat`` admissible for the labels ``vals`` under the
+    pattern ``rows`` (row v holds label v's entries).
+
+    Point p joins an earlier block carrying the label ``vals[p]``, so
+    every candidate refines ker vals, and a join is refused as soon as
+    it completes a crossing between two blocks whose labels have
+    pattern entry 0.  The block-size rule of ``cat`` is applied to each
+    finished candidate.
     """
-    vals = validate_index(i, eps.n)
     # admissible placements of points 1..p-1; each state's extensions are
     # appended in choice order, so the list stays in restricted-growth order
     states: list[tuple[Block, ...]] = [()]
     for p, v in enumerate(vals, start=1):
-        row = eps.row(v)
+        row = rows[v - 1]
         grown = []
         for blocks in states:
             for bi, b in enumerate(blocks):

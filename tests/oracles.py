@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the library's own algorithms:
-partitions are enumerated by point insertion instead of growth strings,
+partitions are enumerated by point insertion or by walking every
+growth string instead of by placement with crossing pruning,
 noncrossing partitions by the first-block gap recursion, crossing
 predicates by literal quadruple loops, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
@@ -195,6 +196,49 @@ def naive_nc_eps_set(i, eps, cat) -> list[tuple[tuple[int, ...], ...]]:
             continue
         if naive_is_eps_noncrossing(_Owned(len(i), blocks), i, eps):
             out.append(blocks)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# all partitions by walking every restricted-growth string, then filtering
+
+def _rgs_words(k: int):
+    if k == 0:
+        yield ()
+        return
+    word = [0] * k
+
+    def rec(pos: int, mx: int):
+        if pos == k:
+            yield tuple(word)
+            return
+        for v in range(mx + 2):
+            word[pos] = v
+            yield from rec(pos + 1, max(mx, v))
+
+    yield from rec(1, 0)
+
+
+def _from_rgs(k: int, rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    nblocks = max(rgs) + 1 if k else 0
+    blocks: list[list[int]] = [[] for _ in range(nblocks)]
+    for pos, v in enumerate(rgs, start=1):
+        blocks[v].append(pos)
+    return tuple(tuple(b) for b in blocks)
+
+
+def naive_enumerate_partitions(k: int, cat, noncrossing_only: bool = False):
+    """Blocks of every partition of 1..k in family ``cat`` (noncrossing
+    ones only, if asked), in restricted-growth order."""
+    size_ok = _FAMILY_SIZES[cat.value]
+    out = []
+    for rgs in _rgs_words(k):
+        blocks = _from_rgs(k, rgs)
+        if not all(size_ok(len(b)) for b in blocks):
+            continue
+        if noncrossing_only and not naive_is_noncrossing(_Owned(k, blocks)):
+            continue
+        out.append(blocks)
     return out
 
 

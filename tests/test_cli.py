@@ -252,6 +252,21 @@ def test_usage_errors_exit_2(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["mpi", "verify", "--preset", "ex-f", "--partition", "{1,3}{2,4}", "--sample", "-5"],
+    ["mpi", "verify", "--preset", "ex-f", "--partition", "{1,3}{2,4}", "--sample", "0",
+     "--json"],
+    ["partitions", "--k", "12"],
+    ["partitions", "--k", "12", "--cat", "pair", "--noncrossing"],
+    ["mpi", "verify", "--preset", "ex-f", "--k", "12"],
+], ids=["sample-negative", "sample-zero-json", "partitions-k12", "partitions-k12-pair-nc",
+        "mpi-verify-k12"])
+def test_out_of_range_work_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_malformed_eps_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0 x\n1 0\n")

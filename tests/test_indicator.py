@@ -152,6 +152,13 @@ def test_figure_partition_sampled_oracle():
     assert rep.passed, rep.counterexample
 
 
+@pytest.mark.parametrize("sample", [0, -5])
+def test_sample_below_one_is_rejected(sample):
+    with pytest.raises(ValueError, match=rf"^sample must be at least 1, got {sample}$"):
+        verify_oracle(parse_partition("{1,3}{2,4}"), preset("ex-f"), Category.ALL, 3,
+                      sample=sample)
+
+
 def test_materialisation_limit_respected():
     # 3**16 > limit: no materialised map, lazy evaluation still works
     eps = preset("comm", 16)

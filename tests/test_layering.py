@@ -1,4 +1,5 @@
-"""Each epsym module imports only modules of lower layers.
+"""Each epsym module imports only modules of lower layers, and
+nothing outside the standard library and epsym itself.
 
 Layers, lowest first: report and epsmat; partitions; cumulants;
 tensormaps; groups and indicator; cli.  The package's ``__init__``
@@ -6,6 +7,7 @@ re-exports everything and is not layered.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,20 @@ def test_module_imports_only_lower_layers(module):
     upward = {m for m in epsym_imports(SRC / f"{module}.py")
               if LAYER[m] >= LAYER[module]}
     assert not upward, f"{module} imports {sorted(upward)} from its own or a higher layer"
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """The top-level package of every absolute import in a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_only_stdlib_and_epsym(path):
+    outside = top_level_imports(path) - set(sys.stdlib_module_names) - {"epsym"}
+    assert not outside, f"{path.stem} imports {sorted(outside)}, which are not stdlib"

@@ -88,6 +88,23 @@ def test_enumeration_is_deterministic():
     assert texts[0] == "{1,2,3,4}" and texts[-1] == "{1}{2}{3}{4}"
 
 
+@pytest.mark.parametrize("noncrossing_only", [False, True])
+@pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)
+def test_enumeration_matches_growth_string_oracle(cat, noncrossing_only):
+    for k in range(10):
+        got = [p.blocks for p in enumerate_partitions(k, cat, noncrossing_only)]
+        assert got == oracles.naive_enumerate_partitions(k, cat, noncrossing_only), k
+
+
+def test_enumeration_is_capped():
+    for cat in Category:
+        with pytest.raises(ValueError, match=r"^k = 12 is too large to enumerate; "
+                                             r"the limit is 11$"):
+            enumerate_partitions(12, cat, noncrossing_only=True)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        enumerate_partitions(-1)
+
+
 # --- refinement --------------------------------------------------------------
 
 def test_refinement_examples():
@@ -321,6 +338,17 @@ def test_subpartition_postconditions(pi):
             except ValueError:
                 continue
             assert not s2.is_noncrossing
+
+
+def test_restrict_and_remove_interval_share_one_split():
+    pi = P("{1,3}{2}{4,5}")
+    assert pi.restrict(1, 3) == P("{1,3}{2}")
+    assert pi.remove_interval(1, 3) == P("{1,2}")
+    assert pi.restrict(4, 5) == P("{1,2}")
+    assert pi.remove_interval(4, 5) == P("{1,3}{2}")
+    for cut in (pi.restrict, pi.remove_interval):
+        with pytest.raises(ValueError, match=r"^block \(1, 3\) crosses the interval 2\.\.4$"):
+            cut(2, 4)
 
 
 @given(rgs_partitions(max_k=7, min_k=1))
