@@ -10,14 +10,15 @@ import argparse
 import json
 import sys
 
-from . import epsmat
 from .cumulants import CumulantSpec, format_fraction, moment
-from .epsmat import EpsilonMatrix, Permutation, format_eps_text, parse_eps_text
+from .epsmat import (EpsilonMatrix, Permutation, format_eps_text, parse_eps_text,
+                     preset)
 from .groups import (automorphism_group, check_coxeter_rep,
                      check_eps_exchangeability, entries_commute,
                      perm_representation, projection_pair_representation,
                      rep_check, word_reduce)
-from .indicator import definetti_identity_report, run_algorithm, verify_oracle
+from .indicator import (check_sample, definetti_identity_report, run_algorithm,
+                        verify_oracle)
 from .partitions import (Category, enumerate_partitions, format_partition,
                          nc_eps_set, parse_partition)
 from .report import CheckResult, SuiteReport
@@ -33,13 +34,11 @@ def _add_eps_args(p: argparse.ArgumentParser, n_is_dim: bool = False) -> None:
     g.add_argument("--preset", help="named pattern (comm, free, block, ex-d, "
                                     "ex-e, ex-f, trivial6, ...)")
     g.add_argument("--eps-file", help="path to a pattern in the text format")
+    size_help = "size for comm/free, first size for block"
     if n_is_dim:
-        p.add_argument("--size", type=int,
-                       help="size for comm/free, first size for block "
-                            "(defaults to --n)")
+        p.add_argument("--size", type=int, help=f"{size_help} (defaults to --n)")
     else:
-        p.add_argument("--n", type=int,
-                       help="size for comm/free, first size for block")
+        p.add_argument("--n", type=int, help=size_help)
     p.add_argument("--m", type=int, help="second size for the block preset")
 
 
@@ -54,12 +53,12 @@ def _load_eps(args) -> EpsilonMatrix:
     if name in ("comm", "free"):
         if size is None:
             raise ValueError(f"preset {name} needs a size (--n or --size)")
-        return epsmat.preset(name, size)
+        return preset(name, size)
     if name == "block":
         if size is None or args.m is None:
             raise ValueError("preset block needs a first size (--n or --size) and --m")
-        return epsmat.preset(name, size, args.m)
-    return epsmat.preset(name)
+        return preset(name, size, args.m)
+    return preset(name)
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -70,30 +69,22 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _load_kappa(args, eps: EpsilonMatrix) -> CumulantSpec:
-    spec_arg = args.kappa
-    if spec_arg == "semicircle":
+    if args.kappa == "semicircle":
         return CumulantSpec.semicircle(eps.n)
-    if spec_arg.startswith("file:"):
-        with open(spec_arg[5:]) as fh:
+    if args.kappa.startswith("file:"):
+        with open(args.kappa[5:]) as fh:
             return CumulantSpec.from_json(json.load(fh))
     raise ValueError("--kappa must be 'semicircle' or 'file:PATH'")
 
 
 def _print_report(report, as_json: bool) -> int:
+    """Print a CheckReport or a SuiteReport; exit code 1 unless it passed."""
     if as_json:
         _emit_json(report.to_json())
     else:
-        print(report.line())
-    return 0 if report.passed else 1
-
-
-def _print_suite(suite, as_json: bool) -> int:
-    if as_json:
-        _emit_json(suite.to_json())
-    else:
-        for line in suite.lines():
+        for line in report.lines():
             print(line)
-    return 0 if suite.passed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_show_eps(args) -> int:
@@ -158,7 +149,7 @@ def _cmd_tneps(args) -> int:
 
 
 def _cmd_coxeter_check(args) -> int:
-    return _print_suite(check_coxeter_rep(_load_eps(args)), args.json)
+    return _print_report(check_coxeter_rep(_load_eps(args)), args.json)
 
 
 def _cmd_word(args) -> int:
@@ -193,8 +184,7 @@ def _cmd_rep_check(args) -> int:
     else:
         raise ValueError("--rep must be 'projection-pair' or 'perm:IMAGES'")
     tags = [t.strip() for t in args.relations.split(",") if t.strip()]
-    suite = rep_check(u, eps, tags)
-    code = _print_suite(suite, args.json)
+    code = _print_report(rep_check(u, eps, tags), args.json)
     if args.witness and not args.json:
         c = entries_commute(u, 1, 1, 3, 3)
         print(f"u[1,1] and u[3,3] {'commute' if c else 'do not commute'}")
@@ -208,9 +198,7 @@ def _cmd_intertwiner_suite(args) -> int:
     if args.json:
         _emit_json({"identities": first.to_json(), "products": second.to_json()})
         return 0 if first.passed and second.passed else 1
-    for line in first.lines() + second.lines():
-        print(line)
-    return 0 if first.passed and second.passed else 1
+    return _print_report(SuiteReport(first.checks + second.checks), False)
 
 
 def _cmd_mpi_run(args) -> int:
@@ -237,6 +225,7 @@ def _cmd_mpi_verify(args) -> int:
     eps = _load_eps(args)
     cat = Category.parse(args.cat)
     dim = args.n if args.n is not None else eps.n
+    check_sample(args.sample)
     if args.partition is not None:
         pis = [parse_partition(args.partition)]
     elif args.k is not None:
@@ -248,11 +237,7 @@ def _cmd_mpi_verify(args) -> int:
         report = verify_oracle(pi, eps, cat, dim, sample=args.sample)
         total += report.checked
         if not report.passed:
-            if args.json:
-                _emit_json(report.to_json())
-            else:
-                print(report.line())
-            return 1
+            return _print_report(report, args.json)
     if args.json:
         _emit_json({"passed": True, "checked": total, "partitions": len(pis)})
     else:
@@ -267,72 +252,64 @@ def _cmd_definetti(args) -> int:
     return _print_report(report, args.json)
 
 
-def _battery() -> SuiteReport:
-    """The bundled example battery: fixed patterns, group orders, the
-    representation checks, the identity suites and the indicator oracle."""
-    from .epsmat import preset
-    results: list[CheckResult] = []
+def _order(*pattern) -> int:
+    return automorphism_group(preset(*pattern)).order
 
-    def check(label: str, ok: bool):
-        results.append(CheckResult(label, bool(ok)))
 
-    for name in ("ex-d", "ex-e", "ex-f", "trivial6"):
-        eps = preset(name)
-        check(f"preset {name} validates", True)
-    check("pattern-automorphism order ex-d",
-          automorphism_group(preset("ex-d")).order == 8)
-    check("pattern-automorphism order ex-e",
-          automorphism_group(preset("ex-e")).order == 8)
-    check("pattern-automorphism order trivial6",
-          automorphism_group(preset("trivial6")).order == 1)
-    check("comm(4)/free(4) give the full symmetric group",
-          automorphism_group(preset("comm", 4)).order == 24
-          and automorphism_group(preset("free", 4)).order == 24)
-    for name, eps in [("comm(4)", preset("comm", 4)), ("free(3)", preset("free", 3)),
-                      ("ex-d", preset("ex-d")), ("ex-e", preset("ex-e")),
-                      ("ex-f", preset("ex-f"))]:
-        check(f"reflection representation {name}", check_coxeter_rep(eps).passed)
-        check(f"intertwiner identities {name}",
-              intertwiner_identity_suite(eps).passed)
-        check(f"box products {name}", box_calculus_suite(eps).passed)
-    u = projection_pair_representation()
-    suite = rep_check(u, preset("ex-d"), ["magic", "Rring_eps"])
-    check("projection representation satisfies magic + vanishing exchange",
-          suite.passed)
-    check("projection representation is noncommutative",
-          not entries_commute(u, 1, 1, 3, 3))
-    semi = CumulantSpec.semicircle(2)
-    check("alternating word, commuting pattern: moment 1",
-          moment((1, 2, 1, 2), preset("comm", 2), semi) == 1)
-    check("alternating word, free pattern: moment 0",
-          moment((1, 2, 1, 2), preset("free", 2), semi) == 0)
-    check("single coordinate, fourth moment 2",
-          moment((1, 1, 1, 1), preset("free", 2), semi) == 2)
-    check("moment invariance under pattern automorphisms (ex-d)",
-          check_eps_exchangeability(preset("ex-d"), CumulantSpec.semicircle(4), 3).passed)
-    pi = parse_partition("{1,3}{2,4}")
-    check("indicator oracle for the crossing pair, n=3 (ex-f)",
-          verify_oracle(pi, preset("ex-f"), Category.PAIR, 3).passed)
-    big = parse_partition("{1,7,15}{2,5}{3,4}{6,10,16}{8,9}{11,13}{12,14}")
-    for name, eps in [("comm(16)", preset("comm", 16)), ("free(16)", preset("free", 16))]:
-        report = verify_oracle(big, eps, Category.ALL, 2, sample=200)
-        check(f"16-point reduction terminates and matches, {name}", report.passed)
-    eps = preset("ex-d")
-    check("word problem: squares cancel",
-          word_reduce((1, 1), eps) == ())
-    check("word problem: commuting cancellation",
-          word_reduce((1, 2, 1), eps) == (2,))
-    check("word problem: blocked word stays",
-          word_reduce((1, 3, 1), eps) == (1, 3, 1))
-    return SuiteReport(tuple(results))
+# The bundled example battery as (label, check) rows, run in order: fixed
+# patterns, group orders, three suites on each of five patterns, the
+# representation checks, moments, the indicator oracle and the word problem.
+_PAPER_EXAMPLES = (
+    *((f"preset {name} validates", lambda name=name: preset(name) is not None)
+      for name in ("ex-d", "ex-e", "ex-f", "trivial6")),
+    ("pattern-automorphism order ex-d", lambda: _order("ex-d") == 8),
+    ("pattern-automorphism order ex-e", lambda: _order("ex-e") == 8),
+    ("pattern-automorphism order trivial6", lambda: _order("trivial6") == 1),
+    ("comm(4)/free(4) give the full symmetric group",
+     lambda: _order("comm", 4) == 24 and _order("free", 4) == 24),
+    *((f"{label} {name}", lambda suite=suite, args=args: suite(preset(*args)).passed)
+      for name, args in (("comm(4)", ("comm", 4)), ("free(3)", ("free", 3)),
+                         ("ex-d", ("ex-d",)), ("ex-e", ("ex-e",)), ("ex-f", ("ex-f",)))
+      for label, suite in (("reflection representation", check_coxeter_rep),
+                           ("intertwiner identities", intertwiner_identity_suite),
+                           ("box products", box_calculus_suite))),
+    ("projection representation satisfies magic + vanishing exchange",
+     lambda: rep_check(projection_pair_representation(), preset("ex-d"),
+                       ["magic", "Rring_eps"]).passed),
+    ("projection representation is noncommutative",
+     lambda: not entries_commute(projection_pair_representation(), 1, 1, 3, 3)),
+    ("alternating word, commuting pattern: moment 1",
+     lambda: moment((1, 2, 1, 2), preset("comm", 2), CumulantSpec.semicircle(2)) == 1),
+    ("alternating word, free pattern: moment 0",
+     lambda: moment((1, 2, 1, 2), preset("free", 2), CumulantSpec.semicircle(2)) == 0),
+    ("single coordinate, fourth moment 2",
+     lambda: moment((1, 1, 1, 1), preset("free", 2), CumulantSpec.semicircle(2)) == 2),
+    ("moment invariance under pattern automorphisms (ex-d)",
+     lambda: check_eps_exchangeability(preset("ex-d"), CumulantSpec.semicircle(4),
+                                       3).passed),
+    ("indicator oracle for the crossing pair, n=3 (ex-f)",
+     lambda: verify_oracle(parse_partition("{1,3}{2,4}"), preset("ex-f"),
+                           Category.PAIR, 3).passed),
+    *((f"16-point reduction terminates and matches, {name}(16)",
+       lambda name=name: verify_oracle(
+           parse_partition("{1,7,15}{2,5}{3,4}{6,10,16}{8,9}{11,13}{12,14}"),
+           preset(name, 16), Category.ALL, 2, sample=200).passed)
+      for name in ("comm", "free")),
+    ("word problem: squares cancel", lambda: word_reduce((1, 1), preset("ex-d")) == ()),
+    ("word problem: commuting cancellation",
+     lambda: word_reduce((1, 2, 1), preset("ex-d")) == (2,)),
+    ("word problem: blocked word stays",
+     lambda: word_reduce((1, 3, 1), preset("ex-d")) == (1, 3, 1)),
+)
 
 
 def _cmd_paper_examples(args) -> int:
-    suite = _battery()
+    suite = SuiteReport(tuple(CheckResult(label, bool(check()))
+                              for label, check in _PAPER_EXAMPLES))
     if args.json:
         _emit_json(suite.to_json()["checks"])
     else:
-        _print_suite(suite, False)
+        _print_report(suite, False)
         print(f"{sum(c.passed for c in suite.checks)}/{len(suite.checks)} passed")
     return 0 if suite.passed else 1
 
@@ -342,94 +319,80 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+# Options that several verbs share, each declared once.  A verb lists its
+# options in --help order, each a name from this table or an _opt(...).
+_SHARED = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--cat": {"default": "all"},
+    "--kappa": {"default": "semicircle"},
+    "--max-k": {"type": int, "default": 4, "dest": "max_k"},
+    # the mpi verbs' base dimension; a pattern's own size is then --size
+    "--n": {"type": int,
+            "help": "base dimension of the tensor legs (default: pattern size)"},
+}
+
+
+def _opt(flag: str, **settings) -> tuple[str, dict]:
+    """A verb's own option, or a shared one with some settings replaced."""
+    return flag, settings
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="eps",
         description="exact calculus for partial-commutation symmetries")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, eps_args=True, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, *options, under=sub, eps_args=True, n_is_dim=False, **kw):
+        p = under.add_parser(name, **kw)
         if eps_args:
-            _add_eps_args(p)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+            _add_eps_args(p, n_is_dim)
+        for option in options:
+            flag, own = (option, {}) if isinstance(option, str) else option
+            p.add_argument(flag, **{**_SHARED.get(flag, {}), **own})
         p.set_defaults(fn=fn)
-        return p
 
-    add("show-eps", _cmd_show_eps, help="print a pattern")
-
-    p = add("partitions", _cmd_partitions, eps_args=False,
-            help="enumerate set partitions")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cat", default="all")
-    p.add_argument("--noncrossing", action="store_true")
-
-    p = add("ncset", _cmd_ncset, help="admissible refinements of a word's kernel")
-    p.add_argument("--index", required=True, help="comma-separated word, e.g. 1,2,1,2")
-    p.add_argument("--cat", default="all")
-
-    p = add("moment", _cmd_moment, help="mixed moment of a word")
-    p.add_argument("--index", required=True)
-    p.add_argument("--kappa", default="semicircle")
-    p.add_argument("--cat", default="all")
-
-    p = add("exchangeability", _cmd_exchangeability,
-            help="moment invariance under pattern automorphisms")
-    p.add_argument("--kappa", default="semicircle")
-    p.add_argument("--max-k", type=int, default=4, dest="max_k")
-
-    add("tneps", _cmd_tneps, help="the pattern's automorphism group")
-
-    add("coxeter-check", _cmd_coxeter_check,
+    add("show-eps", _cmd_show_eps, "--json", help="print a pattern")
+    add("partitions", _cmd_partitions, "--json", _opt("--k", type=int, required=True),
+        "--cat", _opt("--noncrossing", action="store_true"), eps_args=False,
+        help="enumerate set partitions")
+    add("ncset", _cmd_ncset, "--json",
+        _opt("--index", required=True, help="comma-separated word, e.g. 1,2,1,2"),
+        "--cat", help="admissible refinements of a word's kernel")
+    add("moment", _cmd_moment, "--json", _opt("--index", required=True), "--kappa",
+        "--cat", help="mixed moment of a word")
+    add("exchangeability", _cmd_exchangeability, "--json", "--kappa", "--max-k",
+        help="moment invariance under pattern automorphisms")
+    add("tneps", _cmd_tneps, "--json", help="the pattern's automorphism group")
+    add("coxeter-check", _cmd_coxeter_check, "--json",
         help="reflection representation: squares and commutations")
-
-    p = add("word", _cmd_word, help="normal form / equality of involution words")
-    p.add_argument("--word", required=True)
-    p.add_argument("--word2")
-
-    p = add("rep-check", _cmd_rep_check,
-            help="relation families on a candidate fundamental matrix")
-    p.add_argument("--rep", default="projection-pair",
-                   help="'projection-pair' or 'perm:IMAGES'")
-    p.add_argument("--relations", default="magic,Rring_eps")
-    p.add_argument("--witness", action="store_true",
-                   help="also report whether u[1,1] and u[3,3] commute")
-
-    add("intertwiner-suite", _cmd_intertwiner_suite,
+    add("word", _cmd_word, "--json", _opt("--word", required=True), _opt("--word2"),
+        help="normal form / equality of involution words")
+    add("rep-check", _cmd_rep_check, "--json",
+        _opt("--rep", default="projection-pair",
+             help="'projection-pair' or 'perm:IMAGES'"),
+        _opt("--relations", default="magic,Rring_eps"),
+        _opt("--witness", action="store_true",
+             help="also report whether u[1,1] and u[3,3] commute"),
+        help="relation families on a candidate fundamental matrix")
+    add("intertwiner-suite", _cmd_intertwiner_suite, "--json",
         help="identity and product suites for the gated maps")
 
     mpi = sub.add_parser("mpi", help="indicator-map reduction")
     mpi_sub = mpi.add_subparsers(dest="mpi_verb", required=True)
+    plain_json = _opt("--json", help=None)
+    add("run", _cmd_mpi_run, _opt("--partition", required=True, help="e.g. '{1,3}{2,4}'"),
+        "--cat", "--n", plain_json, under=mpi_sub, n_is_dim=True,
+        help="print the reduction trace")
+    add("verify", _cmd_mpi_verify, _opt("--partition"),
+        _opt("--k", type=int, help="verify every family partition of k points"),
+        "--cat", "--n", _opt("--sample", type=int, help="sample this many basis vectors"),
+        plain_json, under=mpi_sub, n_is_dim=True, help="oracle check of the composed map")
 
-    p = mpi_sub.add_parser("run", help="print the reduction trace")
-    _add_eps_args(p, n_is_dim=True)
-    p.add_argument("--partition", required=True, help="e.g. '{1,3}{2,4}'")
-    p.add_argument("--cat", default="all")
-    p.add_argument("--n", type=int,
-                   help="base dimension of the tensor legs (default: pattern size)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_mpi_run)
-
-    p = mpi_sub.add_parser("verify", help="oracle check of the composed map")
-    _add_eps_args(p, n_is_dim=True)
-    p.add_argument("--partition")
-    p.add_argument("--k", type=int, help="verify every family partition of k points")
-    p.add_argument("--cat", default="all")
-    p.add_argument("--n", type=int,
-                   help="base dimension of the tensor legs (default: pattern size)")
-    p.add_argument("--sample", type=int, help="sample this many basis vectors")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_mpi_verify)
-
-    p = add("definetti", _cmd_definetti,
-            help="indicator-weighted cumulant sums reproduce moments")
-    p.add_argument("--kappa", default="semicircle")
-    p.add_argument("--cat", default="all")
-    p.add_argument("--max-k", type=int, default=4, dest="max_k")
-
-    add("paper-examples", _cmd_paper_examples, eps_args=False,
+    add("definetti", _cmd_definetti, "--json", "--kappa", "--cat", "--max-k",
+        help="indicator-weighted cumulant sums reproduce moments")
+    add("paper-examples", _cmd_paper_examples, "--json", eps_args=False,
         help="run the bundled example battery")
-
     return ap
 
 

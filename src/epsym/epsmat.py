@@ -126,6 +126,8 @@ def free(n: int) -> EpsilonMatrix:
 
 def block(n: int, m: int) -> EpsilonMatrix:
     """First n coordinates mutually commuting, remaining m free of everything."""
+    if n < 0 or m < 0:
+        raise ValueError(f"block sizes must be nonnegative, got {n} and {m}")
     size = n + m
     return make_epsilon(size, tuple(
         tuple(1 if i < n and j < n and i != j else 0 for j in range(size))

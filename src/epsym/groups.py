@@ -132,6 +132,8 @@ def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
     words of length up to ``max_k``.  The cumulant rows must be
     identical, matching the identically-distributed hypothesis.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be at least 0, got {max_k}")
     if not spec.identically_distributed:
         raise ValueError("coordinates must be identically distributed")
     n = eps.n

@@ -209,6 +209,12 @@ def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> Check
                                        f"membership gives {want}")
 
 
+def check_sample(sample: Optional[int]) -> None:
+    """Reject a sample size below 1; ``None`` asks for every vector."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
+
+
 def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
                   sample: Optional[int] = None) -> CheckReport:
     """Compare the composed map against the combinatorial membership test.
@@ -221,8 +227,7 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
     (at least 1) vectors are drawn reproducibly from a fixed seed and
     each is checked against :func:`in_nc_eps`.
     """
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be at least 1, got {sample}")
+    check_sample(sample)
     trace, mp = run_algorithm(pi, eps, cat, n)
     k = pi.k
     if sample is None:
@@ -258,6 +263,8 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     The indicator values come from the tensor route, making this an
     end-to-end consistency check between the two halves of the library.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be at least 0, got {max_k}")
     if not spec.identically_distributed:
         raise ValueError("coordinates must be identically distributed")
     if spec.n < eps.n:

@@ -60,6 +60,9 @@ class CheckReport:
             return f"PASS ({self.checked} cases)"
         return f"FAIL after {self.checked} cases: {self.counterexample}"
 
+    def lines(self) -> list[str]:
+        return [self.line()]
+
     def to_json(self) -> dict:
         return {"passed": self.passed, "checked": self.checked,
                 "counterexample": self.counterexample, "notes": list(self.notes)}

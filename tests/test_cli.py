@@ -259,8 +259,14 @@ def test_usage_errors_exit_2(capsys):
     ["partitions", "--k", "12"],
     ["partitions", "--k", "12", "--cat", "pair", "--noncrossing"],
     ["mpi", "verify", "--preset", "ex-f", "--k", "12"],
+    # no pairing of 3 points, so the sample floor is checked before the loop
+    ["mpi", "verify", "--preset", "ex-f", "--cat", "pair", "--k", "3", "--sample", "0"],
+    ["exchangeability", "--preset", "ex-d", "--max-k", "-1"],
+    ["definetti", "--preset", "ex-d", "--max-k", "-1"],
+    ["show-eps", "--preset", "block", "--n", "-1", "--m", "3"],
 ], ids=["sample-negative", "sample-zero-json", "partitions-k12", "partitions-k12-pair-nc",
-        "mpi-verify-k12"])
+        "mpi-verify-k12", "sample-zero-empty-family", "exchangeability-max-k-negative",
+        "definetti-max-k-negative", "block-size-negative"])
 def test_out_of_range_work_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

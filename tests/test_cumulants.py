@@ -167,6 +167,13 @@ def test_exchangeability_requires_identical_rows():
         check_eps_exchangeability(preset("free", 2), spec, 2)
 
 
+def test_exchangeability_rejects_negative_max_k():
+    with pytest.raises(ValueError, match=r"^max_k must be at least 0, got -1$"):
+        check_eps_exchangeability(preset("ex-d"), SEMI(4), -1)
+    # max_k = 0 still checks the empty word once per automorphism
+    assert check_eps_exchangeability(preset("ex-d"), SEMI(4), 0).checked == 8
+
+
 def test_exchangeability_other_presets():
     assert check_eps_exchangeability(preset("ex-e"), SEMI(4), 3).passed
     assert check_eps_exchangeability(preset("ex-f"), SEMI(5), 3).passed

@@ -84,6 +84,17 @@ def test_block_preset():
     assert eps[1, 3] == eps[3, 4] == eps[2, 4] == 0
 
 
+@pytest.mark.parametrize("sizes", [(2, -1), (-1, 3), (-2, -2)])
+def test_block_rejects_negative_sizes(sizes):
+    with pytest.raises(ValueError, match=r"^block sizes must be nonnegative, got "):
+        preset("block", *sizes)
+
+
+def test_block_with_an_empty_part():
+    assert preset("block", 0, 3) == preset("free", 3)
+    assert preset("block", 3, 0) == preset("comm", 3)
+
+
 def test_preset_aliases():
     assert preset("pairs-indep") == preset("ex-d")
     assert preset("pairs-free") == preset("ex-e")

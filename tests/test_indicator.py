@@ -347,6 +347,15 @@ def test_definetti_requires_identical_rows():
             preset("free", 2), Category.ALL, CumulantSpec.of([(1,), (2,)]), 3)
 
 
+def test_definetti_rejects_negative_max_k():
+    with pytest.raises(ValueError, match=r"^max_k must be at least 0, got -1$"):
+        definetti_identity_report(
+            preset("ex-d"), Category.ALL, CumulantSpec.semicircle(4), -1)
+    # max_k = 0 still checks the empty word
+    assert definetti_identity_report(
+        preset("ex-d"), Category.ALL, CumulantSpec.semicircle(4), 0).checked == 1
+
+
 def test_trace_json_shape():
     eps = preset("ex-d")
     trace, _ = run_algorithm(parse_partition("{1,3}{2,4}"), eps,

@@ -150,7 +150,7 @@ def test_paarbaar0_on_comm():
 def test_unknown_kinds_rejected():
     with pytest.raises(ValueError):
         r_map("nope", preset("free", 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"known: cross-id, cross-paar, id-paar$"):
         s_box("nope", preset("free", 2))
 
 
@@ -445,6 +445,17 @@ def test_cycle5_loop_counts_row_one():
     assert loops(1, 1) == 3 == 1 + 1 + 1
     assert loops(1, 2) == 2 == 1 + 0 + 1
     assert loops(1, 3) == 1 == 0 + 0 + 1
+
+
+@pytest.mark.parametrize("name,eps", ALL_PRESETS)
+def test_free_neighbour_square_counts_loops(name, eps):
+    # the loop-count check compares F . F with a map sum; entry (i -> k)
+    # of F . F must be the number of m with eps_im = eps_mk = 0
+    f = free_neighbors_map(eps)
+    square = f @ f
+    for i, k in basis(eps.n, 2):
+        want = sum(1 for m in range(1, eps.n + 1) if eps[i, m] == 0 and eps[m, k] == 0)
+        assert square.scalar_at((i,), (k,)) == want
 
 
 def test_cross_paar_square_general_decomposition():
