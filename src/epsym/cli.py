@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .cumulants import CumulantSpec, format_fraction, moment
+from .cumulants import CumulantSpec, moment
 from .epsmat import (EpsilonMatrix, Permutation, format_eps_text, parse_eps_text,
                      preset)
 from .groups import (automorphism_group, check_coxeter_rep,
@@ -43,22 +43,22 @@ def _add_eps_args(p: argparse.ArgumentParser, n_is_dim: bool = False) -> None:
 
 
 def _load_eps(args) -> EpsilonMatrix:
+    # in the mpi verbs --n is the base dimension and --size the pattern's
+    size = getattr(args, "size", args.n)
     if args.eps_file:
+        if size is not None or args.m is not None:
+            raise ValueError("a pattern file takes no size options")
         with open(args.eps_file) as fh:
             return parse_eps_text(fh.read())
     name = args.preset
-    size = getattr(args, "size", None)
-    if size is None:
-        size = args.n
-    if name in ("comm", "free"):
-        if size is None:
-            raise ValueError(f"preset {name} needs a size (--n or --size)")
-        return preset(name, size)
-    if name == "block":
-        if size is None or args.m is None:
-            raise ValueError("preset block needs a first size (--n or --size) and --m")
-        return preset(name, size, args.m)
-    return preset(name)
+    if name in ("comm", "free", "block") and size is None:
+        size = args.n  # an mpi verb's pattern size defaults to --n
+    if name in ("comm", "free") and size is None:
+        raise ValueError(f"preset {name} needs a size (--n or --size)")
+    if name == "block" and (size is None or args.m is None):
+        raise ValueError("preset block needs a first size (--n or --size) and --m")
+    # preset's own arity check refuses the sizes a pattern does not take
+    return preset(name, *(v for v in (size, args.m) if v is not None))
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -124,9 +124,9 @@ def _cmd_moment(args) -> int:
     i = _parse_csv_ints(args.index)
     value = moment(i, eps, spec, Category.parse(args.cat))
     if args.json:
-        _emit_json({"index": list(i), "moment": format_fraction(value)})
+        _emit_json({"index": list(i), "moment": str(value)})
     else:
-        print(format_fraction(value))
+        print(value)
     return 0
 
 

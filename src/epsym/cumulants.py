@@ -7,7 +7,10 @@ word's kernel, of the product of block cumulants.  With the all-ones
 off-diagonal pattern this collapses to classical independence, with the
 zero pattern to free independence.
 
-Everything is exact; no floats appear anywhere.
+Everything is exact.  This module owns the package's number format:
+:func:`parse_fraction` is the one reader of values from outside and
+:func:`stored` the one storage rule, an ``int`` when the value is
+integral and a ``Fraction`` only when it is not.
 """
 
 from __future__ import annotations
@@ -20,8 +23,26 @@ from .epsmat import EpsilonMatrix
 from .partitions import Category, SetPartition, nc_eps_set
 
 
-def _norm_row(row) -> tuple[Fraction, ...]:
-    vals = [Fraction(v) for v in row]
+def stored(c: int | Fraction) -> int | Fraction:
+    """An exact value in stored form: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def parse_fraction(value) -> int | Fraction:
+    """Read an exact value in stored form: an int, a Fraction, a float by
+    its decimal text (0.1 is 1/10) or a 'p/q' string."""
+    if isinstance(value, bool):  # bool is an int subclass; JSON true is no number
+        raise ValueError("an exact value must be a number or a 'p/q' string, not a boolean")
+    if not isinstance(value, (int, Fraction)):
+        try:
+            value = Fraction(str(value).strip())
+        except ZeroDivisionError:
+            raise ValueError(f"fraction {value!r} has a zero denominator") from None
+    return stored(value)
+
+
+def _norm_row(row) -> tuple[int | Fraction, ...]:
+    vals = [parse_fraction(v) for v in row]
     while vals and vals[-1] == 0:
         vals.pop()
     return tuple(vals)
@@ -29,10 +50,10 @@ def _norm_row(row) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class CumulantSpec:
-    """Per-coordinate free cumulants kappa_1, kappa_2, ... as rationals."""
+    """Per-coordinate free cumulants kappa_1, kappa_2, ... in stored form."""
 
     n: int
-    kappas: tuple[tuple[Fraction, ...], ...]
+    kappas: tuple[tuple[int | Fraction, ...], ...]
 
     @classmethod
     def of(cls, rows) -> "CumulantSpec":
@@ -50,11 +71,11 @@ class CumulantSpec:
     def constant(cls, n: int, row) -> "CumulantSpec":
         return cls.of([tuple(row)] * n)
 
-    def kappa(self, v: int, m: int) -> Fraction:
+    def kappa(self, v: int, m: int) -> int | Fraction:
         if not 1 <= v <= self.n:
             raise ValueError(f"coordinate {v} outside 1..{self.n}")
         row = self.kappas[v - 1]
-        return row[m - 1] if m - 1 < len(row) else Fraction(0)
+        return row[m - 1] if m - 1 < len(row) else 0
 
     @property
     def identically_distributed(self) -> bool:
@@ -62,7 +83,7 @@ class CumulantSpec:
 
     def to_json(self) -> dict:
         return {"n": self.n,
-                "kappas": [[format_fraction(v) for v in row] for row in self.kappas]}
+                "kappas": [[str(v) for v in row] for row in self.kappas]}
 
     @classmethod
     def from_json(cls, data: dict) -> "CumulantSpec":
@@ -74,38 +95,25 @@ class CumulantSpec:
         if not isinstance(data["kappas"], list) or not all(
                 isinstance(row, list) for row in data["kappas"]):
             raise ValueError("'kappas' must be a list of rows, each a list")
-        rows = [[parse_fraction(v) for v in row] for row in data["kappas"]]
-        spec = cls.of(rows)
+        spec = cls.of(data["kappas"])
         if spec.n != data["n"]:
             raise ValueError("row count does not match n")
         return spec
 
 
-def parse_fraction(text) -> Fraction:
-    if isinstance(text, bool):  # bool is an int subclass; JSON true is no number
-        raise ValueError("a cumulant must be a number or a 'p/q' string, not a boolean")
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(str(text).strip())
-    except ZeroDivisionError:
-        raise ValueError(f"fraction {text!r} has a zero denominator") from None
-
-
-def format_fraction(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _block_product(pi: SetPartition, vals: tuple[int, ...],
-                   spec: CumulantSpec) -> Fraction:
-    # each block's coordinate is read off its first point
-    out = Fraction(1)
+                   spec: CumulantSpec) -> int | Fraction:
+    # each block's coordinate is read off its first point; a zero factor ends it
+    out = 1
     for b in pi.blocks:
-        out *= spec.kappa(vals[b[0] - 1], len(b))
-    return out
+        c = spec.kappa(vals[b[0] - 1], len(b))
+        if not c:
+            return 0
+        out *= c
+    return stored(out)
 
 
-def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> Fraction:
+def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> int | Fraction:
     """Product over blocks of kappa_{block size}(block coordinate).
 
     Requires the partition to refine the kernel of ``i`` so every block
@@ -122,13 +130,13 @@ def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> Fraction
 
 
 def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
-           cat: Category = Category.ALL) -> Fraction:
+           cat: Category = Category.ALL) -> int | Fraction:
     """Joint moment of the word ``i`` under the mixed independence rule."""
     vals = tuple(i)
     if spec.n < eps.n:
         raise ValueError("cumulant table is smaller than the pattern")
-    total = Fraction(0)
+    total = 0
     # nc_eps_set yields only refinements of ker i, so kappa_pi's check is skipped
     for pi in nc_eps_set(vals, eps, cat):
         total += _block_product(pi, vals, spec)
-    return total
+    return stored(total)

@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cumulants import CumulantSpec, format_fraction, moment
+from .cumulants import CumulantSpec, moment, parse_fraction
 from .epsmat import EpsilonMatrix, Permutation, validate_index
 from .report import CheckReport, CheckResult, SuiteReport
 
@@ -150,8 +150,7 @@ def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
                 if table[moved] != m:
                     return CheckReport(
                         False, checked,
-                        f"sigma={sigma.images}, i={i}: "
-                        f"{format_fraction(m)} != {format_fraction(table[moved])}")
+                        f"sigma={sigma.images}, i={i}: {m} != {table[moved]}")
     return CheckReport(True, checked)
 
 
@@ -334,10 +333,6 @@ def word_equal(w1: Sequence[int], w2: Sequence[int], eps: EpsilonMatrix) -> bool
 # ---------------------------------------------------------------------------
 # relation checking on concrete fundamental matrices
 
-def _frac_rows(rows) -> Mat:
-    return tuple(tuple(Fraction(v) for v in r) for r in rows)
-
-
 @dataclass(frozen=True)
 class Representation:
     """An n-by-n candidate fundamental matrix of d-by-d rational blocks."""
@@ -348,7 +343,8 @@ class Representation:
 
     @classmethod
     def of(cls, blocks) -> "Representation":
-        rows = tuple(tuple(_frac_rows(m) for m in row) for row in blocks)
+        rows = tuple(tuple(tuple(tuple(map(parse_fraction, r)) for r in m) for m in row)
+                     for row in blocks)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("block matrix must be square")
@@ -364,14 +360,11 @@ class Representation:
 
     @cached_property
     def _id(self) -> Mat:
-        d = self.d
-        return tuple(tuple(Fraction(1 if r == c else 0) for c in range(d))
-                     for r in range(d))
+        return tuple(tuple(int(r == c) for c in range(self.d)) for r in range(self.d))
 
     @cached_property
     def _zero(self) -> Mat:
-        d = self.d
-        return tuple((Fraction(0),) * d for _ in range(d))
+        return ((0,) * self.d,) * self.d
 
 
 def _madd(x: Mat, y: Mat) -> Mat:

@@ -218,6 +218,11 @@ class Category(enum.Enum):
             return all(s in (1, 2) for s in pi.block_sizes)
         return all(s % 2 == 0 for s in pi.block_sizes)
 
+    @property
+    def largest_block(self) -> Optional[int]:
+        """The largest block size the family allows; None if unbounded."""
+        return 2 if self in (Category.PAIR, Category.ONETWO) else None
+
     @classmethod
     def parse(cls, name: str) -> "Category":
         try:
@@ -294,18 +299,20 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     Point p joins an earlier block carrying the label ``vals[p]``, so
     every candidate refines ker vals, and a join is refused as soon as
     it completes a crossing between two blocks whose labels have
-    pattern entry 0.  The block-size rule of ``cat`` is applied to each
+    pattern entry 0.  A block already at ``cat``'s largest size takes no
+    further point; the block-size rule of ``cat`` is applied to each
     finished candidate.
     """
     # admissible placements of points 1..p-1; each state's extensions are
     # appended in choice order, so the list stays in restricted-growth order
     states: list[tuple[Block, ...]] = [()]
+    cap = cat.largest_block or len(vals)
     for p, v in enumerate(vals, start=1):
         row = rows[v - 1]
         grown = []
         for blocks in states:
             for bi, b in enumerate(blocks):
-                if vals[b[0] - 1] == v and not any(
+                if len(b) < cap and vals[b[0] - 1] == v and not any(
                         row[vals[a[0] - 1] - 1] == 0 and _encloses(a, b)
                         for a in blocks if a is not b):
                     grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])

@@ -4,8 +4,8 @@ Basis vectors of the k-th tensor power are labelled by k-tuples over
 {1..n}; the 0-th power is the scalars with the empty tuple as its basis
 label.  A map stores only its nonzero rational coefficients, keyed by
 (input label, output label), so compositions at sixteen tensor legs with
-small n stay cheap.  A coefficient is stored as an ``int`` when it is an
-integer and as a ``Fraction`` only when it is not; ``add_entry``
+small n stay cheap.  Coefficients follow :mod:`epsym.cumulants`'
+number format (``stored``, read by ``parse_fraction``); ``add_entry``
 normalises every value it stores, so equal maps have equal tables.
 
 ``core.on_legs(left, other)`` applies ``core`` to the window of legs
@@ -41,16 +41,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
+from .cumulants import parse_fraction, stored
 from .epsmat import EpsilonMatrix
 from .partitions import TwoRowPartition
 from .report import CheckResult, SuiteReport
 
 Label = tuple[int, ...]
-
-
-def _stored(c):
-    """A nonzero int or Fraction in stored form: an int when integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class TensorMap:
@@ -70,14 +66,14 @@ class TensorMap:
             self.add_entry(tuple(i), tuple(j), c)
 
     def add_entry(self, i: Label, j: Label, c: int | Fraction) -> None:
-        """Add ``c`` to the coefficient at (i, j); any rational ``c`` is
-        accepted and stored as an int when integral."""
+        """Add ``c`` to the coefficient at (i, j); an int or Fraction is
+        taken as it is, any other value read by ``parse_fraction``."""
         if len(i) != self.k_in or len(j) != self.k_out:
             raise ValueError("label length does not match the degree")
         if any(not 1 <= v <= self.n for v in i + j):
             raise ValueError("label entry outside 1..n")
-        if type(c) is not int:
-            c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = parse_fraction(c)
         if c == 0:
             return
         row = self.rows.setdefault(i, {})
@@ -87,7 +83,7 @@ class TensorMap:
             if not row:
                 del self.rows[i]
         else:
-            row[j] = _stored(new)
+            row[j] = stored(new)
 
     # -- queries ----------------------------------------------------------
 
@@ -160,7 +156,7 @@ class TensorMap:
                     if new == 0:
                         del row[key]
                     else:
-                        row[key] = _stored(new)
+                        row[key] = stored(new)
             if row:
                 out.rows[i] = row
         return out
@@ -205,12 +201,11 @@ class TensorMap:
         return self + (-other)
 
     def __rmul__(self, c) -> "TensorMap":
-        c = Fraction(c)
+        c = parse_fraction(c)
         out = TensorMap(self.n, self.k_in, self.k_out)
-        if c != 0:
-            for i, row in self.rows.items():
-                for j, v in row.items():
-                    out.add_entry(i, j, c * v)
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                out.add_entry(i, j, c * v)
         return out
 
     # -- constructors and serialisation -----------------------------------
@@ -230,7 +225,7 @@ class TensorMap:
     def from_json(cls, data: dict) -> "TensorMap":
         out = cls(data["n"], data["k_in"], data["k_out"])
         for e in data["entries"]:
-            out.add_entry(tuple(e["in"]), tuple(e["out"]), e["c"])
+            out.add_entry(tuple(e["in"]), tuple(e["out"]), parse_fraction(e["c"]))
         return out
 
 
@@ -268,14 +263,6 @@ def t_pi(pi: TwoRowPartition, n: int) -> TensorMap:
     return _labellings(pi, n)
 
 
-def _base_dim(eps: EpsilonMatrix, n: int | None) -> int:
-    if n is None:
-        return eps.n
-    if n < 1 or n > eps.n:
-        raise ValueError(f"base dimension must lie in 1..{eps.n}")
-    return n
-
-
 # kind -> (two-row partition, pattern entry its two block values must carry)
 _GATED = {"cross1": (CROSS, 1), "idid1": (IDID, 1), "idid0": (IDID, 0),
           "paarbaar0": (PAARBAAR, 0)}
@@ -290,7 +277,10 @@ def r_map(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
     idid0:     e_i x e_j -> [eps_ij = 0] e_i x e_j
     paarbaar0: e_i x e_j -> [i = j] sum_k [eps_ik = 0] e_k x e_k
     """
-    n = _base_dim(eps, n)
+    if n is None:
+        n = eps.n
+    elif not 1 <= n <= eps.n:
+        raise ValueError(f"base dimension must lie in 1..{eps.n}")
     if kind not in _GATED:
         raise ValueError(f"unknown map kind {kind!r}; known: {', '.join(_GATED)}")
     pi, gate = _GATED[kind]
@@ -310,14 +300,14 @@ def s_box(kind: str, eps: EpsilonMatrix) -> TensorMap:
     return r_map(one, eps) + r_map(zero, eps)
 
 
-def eps_as_map(eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
+def eps_as_map(eps: EpsilonMatrix) -> TensorMap:
     """The pattern itself as a map: e_i -> sum_k [eps_ik = 1] e_k."""
-    return _labellings(_ONE_LEG, _base_dim(eps, n), lambda v: eps[v] == 1)
+    return _labellings(_ONE_LEG, eps.n, lambda v: eps[v] == 1)
 
 
-def free_neighbors_map(eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
+def free_neighbors_map(eps: EpsilonMatrix) -> TensorMap:
     """e_i -> sum over the pattern-zero partners of i (including i itself)."""
-    return _labellings(_ONE_LEG, _base_dim(eps, n), lambda v: eps[v] == 0)
+    return _labellings(_ONE_LEG, eps.n, lambda v: eps[v] == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,20 @@ def test_eps_file_and_kappa_file(tmp_path, capsys):
                            "--index", "1,2", "--kappa", f"file:{kappa_path}")
     assert code == 0
     assert out.strip() == "1"
+    code, out, err = run_cli(capsys, "show-eps", "--eps-file", str(eps_path), "--n", "2")
+    assert code == 2 and out == "" and err == "error: a pattern file takes no size options\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_kappa_file_moments_print_exactly(tmp_path, capsys, as_json):
+    kappa_path = tmp_path / "kappa.json"
+    kappa_path.write_text(json.dumps({"n": 2, "kappas": [["1/2", "1/3"], ["1/2", "3/4"]]}))
+    for index, want in (("1,1", "7/12"), ("2,2", "1")):
+        code, out, _ = run_cli(capsys, "moment", "--preset", "free", "--n", "2",
+                               "--index", index, "--kappa", f"file:{kappa_path}",
+                               *(["--json"] if as_json else []))
+        got = json.loads(out)["moment"] if as_json else out.removesuffix("\n")
+        assert code == 0 and got == want
 
 
 def test_usage_errors_exit_2(capsys):
@@ -264,9 +278,16 @@ def test_usage_errors_exit_2(capsys):
     ["exchangeability", "--preset", "ex-d", "--max-k", "-1"],
     ["definetti", "--preset", "ex-d", "--max-k", "-1"],
     ["show-eps", "--preset", "block", "--n", "-1", "--m", "3"],
+    # a size option the pattern does not take
+    ["show-eps", "--preset", "ex-d", "--n", "7", "--m", "2"],
+    ["show-eps", "--preset", "ex-d", "--m", "2"],
+    ["show-eps", "--preset", "comm", "--n", "2", "--m", "9"],
+    ["show-eps", "--preset", "free", "--n", "2", "--m", "1"],
+    ["mpi", "verify", "--preset", "ex-d", "--size", "9", "--partition", "{1,2}"],
 ], ids=["sample-negative", "sample-zero-json", "partitions-k12", "partitions-k12-pair-nc",
         "mpi-verify-k12", "sample-zero-empty-family", "exchangeability-max-k-negative",
-        "definetti-max-k-negative", "block-size-negative"])
+        "definetti-max-k-negative", "block-size-negative", "fixed-preset-sizes",
+        "fixed-preset-m", "comm-given-m", "free-given-m", "mpi-fixed-preset-size"])
 def test_out_of_range_work_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -201,3 +201,8 @@ def test_parse_fraction():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("5") == 5
     assert parse_fraction(7) == 7
+    assert parse_fraction(0.1) == Fraction(1, 10)
+    for value in ("4/2", 2.0, Fraction(6, 3), 2):
+        assert parse_fraction(value) == 2 and type(parse_fraction(value)) is int
+    with pytest.raises(ValueError, match="boolean"):
+        parse_fraction(True)

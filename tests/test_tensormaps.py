@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from epsym.cumulants import CumulantSpec, kappa_pi, moment
 from epsym.epsmat import PRESET_NAMES, make_epsilon, preset
-from epsym.partitions import SetPartition, TwoRowPartition, enumerate_partitions
+from epsym.groups import projection_pair_representation
+from epsym.indicator import evaluate_trace, run_algorithm
+from epsym.partitions import (Category, SetPartition, TwoRowPartition,
+                              enumerate_partitions)
 from epsym.tensormaps import (BAAR, CROSS, DREIPARTROT, IDID, PAAR, PAARBAAR,
                               VIERPARTROT, TensorMap, box_calculus_suite,
                               eps_as_map, free_neighbors_map,
@@ -93,8 +97,11 @@ def test_gated_maps_match_their_formulas(name, eps):
             m = r_map(kind, eps, n)
             assert (m.n, m.k_in, m.k_out) == (n, 2, 2)
             assert table(m) == oracles.naive_r_map(kind, eps, n), (kind, n)
+        # the one-leg maps take no base dimension: build them on the pattern
+        # restricted to 1..n, against the oracle on the full pattern
+        sub = make_epsilon(n, [row[:n] for row in eps.entries[:n]])
         for build, gate in ((eps_as_map, 1), (free_neighbors_map, 0)):
-            m = build(eps, n)
+            m = build(sub)
             assert (m.n, m.k_in, m.k_out) == (n, 1, 1)
             assert table(m) == oracles.naive_one_leg(eps, n, gate), (build, n)
 
@@ -290,10 +297,13 @@ def test_sparse_form_never_stores_zeros():
     assert h.rows == {}
 
 
-def _stored_form(f):
-    """Every coefficient is an int, or a Fraction that is not integral."""
+def _stored_form(values):
+    """Every value (every coefficient, for a map) is an int, or a Fraction
+    that is not integral."""
+    if isinstance(values, TensorMap):
+        values = [c for row in values.rows.values() for c in row.values()]
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for row in f.rows.values() for c in row.values())
+               for c in values)
 
 
 def test_coefficients_are_ints_unless_fractional():
@@ -306,6 +316,37 @@ def test_coefficients_are_ints_unless_fractional():
     assert f.scalar_at((2,), (1,)) == 0
     assert (Fraction(1, 2) * (2 * f)) == f and _stored_form(Fraction(1, 2) * f)
     assert f.to_json()["entries"][0]["c"] == "2"
+
+
+def test_exact_results_are_stored():
+    eps = preset("ex-d")
+    spec = CumulantSpec.of([(0, "1"), (Fraction(4, 2), Fraction(4, 3)),
+                            ("1/2", 2, 1.0), (0.5, "3/4")])
+    pi = SetPartition.of(4, [(1, 3), (2, 4)])
+    trace, _ = run_algorithm(pi, eps, Category.ALL, 4)
+    words = [(1, 1, 1, 1), (4, 4), (3, 4, 3, 4), (1, 2, 1, 2), (3, 3, 3)]
+    values = [moment(w, eps, spec) for w in words]
+    assert values == [2, 1, Fraction(9, 4), Fraction(16, 3), Fraction(33, 8)]
+    products = [kappa_pi(pi, w, spec) for w in [(2, 4, 2, 4), (3, 4, 3, 4)]]
+    assert products == [1, Fraction(3, 2)]
+    values += products + [spec.kappa(v, m) for v in range(1, 5) for m in range(1, 5)]
+    values += [evaluate_trace(trace, w) for w in product(range(1, 5), repeat=4)]
+    assert _stored_form(values)
+    assert _stored_form(v for row in spec.kappas for v in row)
+    u = projection_pair_representation()
+    assert _stored_form(v for row in u.blocks for m in row for r in m for v in r)
+    assert _stored_form(v for m in (u._id, u._zero) for r in m for v in r)
+
+
+def test_from_json_reads_like_the_cumulant_table():
+    data = {"n": 1, "k_in": 1, "k_out": 1, "entries": [{"in": [1], "out": [1], "c": 0.1}]}
+    want = CumulantSpec.from_json({"n": 1, "kappas": [[0.1]]}).kappa(1, 1)
+    assert want == Fraction(1, 10)
+    assert TensorMap.from_json(data).scalar_at((1,), (1,)) == want
+    assert (0.1 * TensorMap.identity(1, 1)).scalar_at((1,), (1,)) == want
+    data["entries"][0]["c"] = True
+    with pytest.raises(ValueError, match="boolean"):
+        TensorMap.from_json(data)
 
 
 # --- applying a map to a window of legs ----------------------------------------
