@@ -7,6 +7,11 @@ word's kernel, of the product of block cumulants.  With the all-ones
 off-diagonal pattern this collapses to classical independence, with the
 zero pattern to free independence.
 
+The moment sum runs in Python ints: with d the least common denominator
+of the table, a block of size m on coordinate v contributes the integer
+kappa_m(v)·d^m, so the products over a word of length k add up to
+d^k times the moment, which is divided out once at the end.
+
 Everything is exact.  This module owns the package's number format:
 :func:`parse_fraction` is the one reader of values from outside and
 :func:`stored` the one storage rule, an ``int`` when the value is
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .epsmat import EpsilonMatrix
@@ -77,6 +84,15 @@ class CumulantSpec:
         row = self.kappas[v - 1]
         return row[m - 1] if m - 1 < len(row) else 0
 
+    @cached_property
+    def integer_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, rows): d is the least common denominator of the table and
+        ``rows[v-1][m-1]`` the integer kappa_m(v)·d^m."""
+        d = lcm(*(c.denominator for row in self.kappas for c in row))
+        return d, tuple(tuple(c.numerator * (d ** m // c.denominator)
+                              for m, c in enumerate(row, start=1))
+                        for row in self.kappas)
+
     @property
     def identically_distributed(self) -> bool:
         return all(row == self.kappas[0] for row in self.kappas)
@@ -135,8 +151,17 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
     vals = tuple(i)
     if spec.n < eps.n:
         raise ValueError("cumulant table is smaller than the pattern")
+    d, rows = spec.integer_table
     total = 0
-    # nc_eps_set yields only refinements of ker i, so kappa_pi's check is skipped
+    # nc_eps_set yields only refinements of ker i, so kappa_pi's check is
+    # skipped; each term is d^k times the block product, a block longer
+    # than its row contributes 0, and a zero factor ends the term
     for pi in nc_eps_set(vals, eps, cat):
-        total += _block_product(pi, vals, spec)
-    return stored(total)
+        term = 1
+        for b in pi.blocks:
+            row = rows[vals[b[0] - 1] - 1]
+            term = term * row[len(b) - 1] if len(b) <= len(row) else 0
+            if not term:
+                break
+        total += term
+    return total if d == 1 else stored(Fraction(total, d ** len(vals)))

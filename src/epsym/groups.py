@@ -346,9 +346,13 @@ class Representation:
         rows = tuple(tuple(tuple(tuple(map(parse_fraction, r)) for r in m) for m in row)
                      for row in blocks)
         n = len(rows)
+        if not n:
+            raise ValueError("block matrix must have at least one row")
         if any(len(r) != n for r in rows):
             raise ValueError("block matrix must be square")
         d = len(rows[0][0])
+        if not d:
+            raise ValueError("blocks must be at least 1x1")
         for row in rows:
             for m in row:
                 if len(m) != d or any(len(mr) != d for mr in m):

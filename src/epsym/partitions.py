@@ -35,7 +35,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .epsmat import EpsilonMatrix, validate_index
 
@@ -79,10 +79,6 @@ class SetPartition:
 
     def block_containing(self, p: int) -> Block:
         return self.blocks[self.owner[p - 1]]
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     @cached_property
     def crossing_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -209,14 +205,14 @@ class Category(enum.Enum):
     ONETWO = "onetwo"
     EVEN = "even"
 
+    @property
+    def allows(self) -> Callable[[int], bool]:
+        """The family's block-size rule: ``allows(size)`` says whether a
+        block may have ``size`` points."""
+        return _BLOCK_SIZE_RULES[self]
+
     def contains(self, pi: SetPartition) -> bool:
-        if self is Category.ALL:
-            return True
-        if self is Category.PAIR:
-            return all(s == 2 for s in pi.block_sizes)
-        if self is Category.ONETWO:
-            return all(s in (1, 2) for s in pi.block_sizes)
-        return all(s % 2 == 0 for s in pi.block_sizes)
+        return self is Category.ALL or all(map(self.allows, map(len, pi.blocks)))
 
     @property
     def largest_block(self) -> Optional[int]:
@@ -230,6 +226,14 @@ class Category(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown category {name!r}; "
                              "use all, pair, onetwo or even") from None
+
+
+_BLOCK_SIZE_RULES = {
+    Category.ALL: lambda size: True,
+    Category.PAIR: lambda size: size == 2,
+    Category.ONETWO: lambda size: size in (1, 2),
+    Category.EVEN: lambda size: size % 2 == 0,
+}
 
 
 def kernel(values: Sequence[int]) -> SetPartition:
@@ -301,7 +305,7 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     it completes a crossing between two blocks whose labels have
     pattern entry 0.  A block already at ``cat``'s largest size takes no
     further point; the block-size rule of ``cat`` is applied to each
-    finished candidate.
+    finished placement before it becomes a ``SetPartition``.
     """
     # admissible placements of points 1..p-1; each state's extensions are
     # appended in choice order, so the list stays in restricted-growth order
@@ -318,8 +322,12 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
                     grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])
             grown.append(blocks + ((p,),))
         states = grown
-    out = (SetPartition(len(vals), blocks) for blocks in states)
-    return [pi for pi in out if cat.contains(pi)]
+    k = len(vals)
+    if cat is not Category.ALL:
+        allowed = [cat.allows(size) for size in range(k + 1)]
+        states = [blocks for blocks in states
+                  if all(allowed[len(b)] for b in blocks)]
+    return [SetPartition(k, blocks) for blocks in states]
 
 
 def _encloses(a: Block, b: Block) -> bool:

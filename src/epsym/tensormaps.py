@@ -67,12 +67,13 @@ class TensorMap:
 
     def add_entry(self, i: Label, j: Label, c: int | Fraction) -> None:
         """Add ``c`` to the coefficient at (i, j); an int or Fraction is
-        taken as it is, any other value read by ``parse_fraction``."""
+        taken as it is, any other value (a boolean is refused) read by
+        ``parse_fraction``."""
         if len(i) != self.k_in or len(j) != self.k_out:
             raise ValueError("label length does not match the degree")
         if any(not 1 <= v <= self.n for v in i + j):
             raise ValueError("label entry outside 1..n")
-        if not isinstance(c, (int, Fraction)):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             c = parse_fraction(c)
         if c == 0:
             return

@@ -421,6 +421,19 @@ def _single_variable_moment(order: int, v: int, spec) -> Fraction:
     return total
 
 
+def naive_moment(i, eps, rows, cat) -> Fraction:
+    """Fraction sum of block-cumulant products over ``naive_nc_eps_set``;
+    ``rows[v - 1][m - 1]`` is kappa_m(v), and an order past the row is 0."""
+    total = Fraction(0)
+    for blocks in naive_nc_eps_set(i, eps, cat):
+        term = Fraction(1)
+        for b in blocks:
+            row = rows[i[b[0] - 1] - 1]
+            term *= Fraction(row[len(b) - 1]) if len(b) <= len(row) else 0
+        total += term
+    return total
+
+
 def classical_moment(i, spec) -> Fraction:
     """Independent-commuting-variables factorisation: the moment is the
     product of single-variable moments of the multiplicities."""

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -143,6 +144,51 @@ def test_moment_restricted_families():
     full = moment((1, 1), eps, spec)
     pair_only = moment((1, 1), eps, spec, Category.PAIR)
     assert full == 2 and pair_only == 1
+
+
+def _random_table(rng, n):
+    # coprime denominators, negative entries, zero middle orders, trailing zeros
+    rows = []
+    for _ in range(n):
+        row = [Fraction(rng.randint(-30, 30), rng.choice((1, 7, 9, 11, 13)))
+               for _ in range(rng.randint(0, 6))]
+        if len(row) > 2:
+            row[rng.randrange(1, len(row) - 1)] = 0
+        rows.append(row + [0] * rng.randint(0, 2))
+    return rows
+
+
+@pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)
+@pytest.mark.parametrize("pattern", [("ex-d",), ("ex-f",), ("comm", 4), ("free", 3),
+                                     ("block", 2, 2)], ids=lambda p: "".join(map(str, p)))
+def test_moment_matches_fraction_sum(pattern, cat):
+    eps = preset(*pattern)
+    rng = random.Random(f"{pattern}-{cat.value}")
+    for _ in range(6):
+        rows = _random_table(rng, eps.n)
+        spec = CumulantSpec.of(rows)
+        for _ in range(8):
+            word = tuple(rng.choices(range(1, eps.n + 1), k=rng.randint(0, 6)))
+            want = oracles.naive_moment(word, eps, rows, cat)
+            got = moment(word, eps, spec, cat)
+            assert got == want, (rows, word)
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+    ints = CumulantSpec.of([[rng.randint(-5, 5) for _ in range(4)] for _ in range(eps.n)])
+    for k in range(7):
+        word = tuple(rng.choices(range(1, eps.n + 1), k=k))
+        assert type(moment(word, eps, ints, cat)) is int
+    assert moment((), eps, spec, cat) == 1 and type(moment((), eps, spec, cat)) is int
+
+
+def test_integer_table_keeps_spec_equality():
+    rows = [("1/7", "2/9"), ("-3/11", "1/13", "5/2"), (0, 0)]
+    spec = CumulantSpec.of(rows)
+    d, scaled = spec.integer_table
+    assert d == 7 * 9 * 11 * 13 * 2
+    assert scaled[0] == (d // 7, 2 * d * d // 9) and scaled[2] == ()
+    assert spec == CumulantSpec.of(rows) and CumulantSpec.of(rows) == spec
+    assert hash(spec) == hash(CumulantSpec.of(rows))
+    assert CumulantSpec.semicircle(3).integer_table == (1, ((0, 1),) * 3)
 
 
 # --- exchangeability ----------------------------------------------------------

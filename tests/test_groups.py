@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from strategies import eps_matrices, eps_with_word
 from epsym.epsmat import EpsilonMatrix, Permutation, make_epsilon, preset
-from epsym.groups import (_I2, _mmul, automorphism_group, check_coxeter_rep,
-                          coxeter_rep, entries_commute, perm_representation,
+from epsym.groups import (_I2, _mmul, Representation, automorphism_group,
+                          check_coxeter_rep, coxeter_rep, entries_commute,
+                          perm_representation,
                           permutation_satisfies_R_eps,
                           projection_pair_representation, rep_check,
                           word_equal, word_reduce)
@@ -386,3 +387,11 @@ def test_rep_check_unknown_tag():
 def test_rep_check_size_mismatch():
     with pytest.raises(ValueError, match="size"):
         rep_check(projection_pair_representation(), preset("free", 3), ["magic"])
+
+
+def test_representation_rejects_empty_input():
+    with pytest.raises(ValueError, match=r"^block matrix must have at least one row$"):
+        Representation.of([])
+    with pytest.raises(ValueError, match=r"^blocks must be at least 1x1$"):
+        Representation.of([[[]]])
+    assert Representation.of([[[[1]]]]).d == 1

@@ -96,6 +96,18 @@ def test_enumeration_matches_growth_string_oracle(cat, noncrossing_only):
         assert got == oracles.naive_enumerate_partitions(k, cat, noncrossing_only), k
 
 
+def test_contains_is_the_block_size_rule():
+    rules = {Category.ALL: lambda s: True, Category.PAIR: lambda s: s == 2,
+             Category.ONETWO: lambda s: s in (1, 2), Category.EVEN: lambda s: s % 2 == 0}
+    for cat, rule in rules.items():
+        assert [cat.allows(s) for s in range(9)] == [rule(s) for s in range(9)]
+    for k in range(8):
+        for part in oracles.insertion_partitions(k):
+            pi = SetPartition.of(k, part)
+            for cat, rule in rules.items():
+                assert cat.contains(pi) == all(rule(len(b)) for b in part), (cat, pi)
+
+
 def test_enumeration_is_capped():
     for cat in Category:
         with pytest.raises(ValueError, match=r"^k = 12 is too large to enumerate; "

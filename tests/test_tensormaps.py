@@ -307,7 +307,7 @@ def _stored_form(values):
 
 
 def test_coefficients_are_ints_unless_fractional():
-    f = TensorMap(2, 1, 1, [((1,), (1,), Fraction(4, 2)), ((2,), (2,), True),
+    f = TensorMap(2, 1, 1, [((1,), (1,), Fraction(4, 2)), ((2,), (2,), 1),
                             ((1,), (2,), Fraction(1, 3))])
     assert _stored_form(f) and f.scalar_at((1,), (1,)) == 2
     assert type(f.scalar_at((2,), (2,))) is int
@@ -316,6 +316,9 @@ def test_coefficients_are_ints_unless_fractional():
     assert f.scalar_at((2,), (1,)) == 0
     assert (Fraction(1, 2) * (2 * f)) == f and _stored_form(Fraction(1, 2) * f)
     assert f.to_json()["entries"][0]["c"] == "2"
+    with pytest.raises(ValueError, match="not a boolean"):
+        f.add_entry((2,), (2,), True)
+    assert f.scalar_at((2,), (2,)) == 1
 
 
 def test_exact_results_are_stored():
