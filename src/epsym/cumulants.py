@@ -12,6 +12,13 @@ of the table, a block of size m on coordinate v contributes the integer
 kappa_m(v)·d^m, so the products over a word of length k add up to
 d^k times the moment, which is divided out once at the end.
 
+A label that occurs once in the word is a singleton block of every
+admissible refinement, and a singleton crosses nothing.  Its
+kappa_1(v)·d is therefore a common factor of every term: the moment
+multiplies these factors (stopping at 0, or returning 0 at once for a
+family without blocks of size 1) and sums only over the word's
+repeated labels.
+
 Everything is exact.  This module owns the package's number format:
 :func:`parse_fraction` is the one reader of values from outside and
 :func:`stored` the one storage rule, an ``int`` when the value is
@@ -26,7 +33,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .epsmat import EpsilonMatrix
+from .epsmat import EpsilonMatrix, validate_index
 from .partitions import Category, SetPartition, nc_eps_set
 
 
@@ -148,14 +155,27 @@ def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> int | Fr
 def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
            cat: Category = Category.ALL) -> int | Fraction:
     """Joint moment of the word ``i`` under the mixed independence rule."""
-    vals = tuple(i)
     if spec.n < eps.n:
         raise ValueError("cumulant table is smaller than the pattern")
+    vals = validate_index(i, eps.n)
+    k = len(vals)
     d, rows = spec.integer_table
+    # each label that occurs once gives every term the factor kappa_1·d
+    factor = 1
+    once = [v for v in vals if vals.count(v) == 1]
+    if once:
+        if not cat.allows(1):
+            return 0
+        for v in once:
+            factor *= rows[v - 1][0] if rows[v - 1] else 0
+            if not factor:
+                return 0
+        vals = tuple(v for v in vals if vals.count(v) > 1)
     total = 0
     # nc_eps_set yields only refinements of ker i, so kappa_pi's check is
-    # skipped; each term is d^k times the block product, a block longer
-    # than its row contributes 0, and a zero factor ends the term
+    # skipped; each term times the factor is d^k times the block product,
+    # a block longer than its row contributes 0, and a zero factor ends
+    # the term
     for pi in nc_eps_set(vals, eps, cat):
         term = 1
         for b in pi.blocks:
@@ -164,4 +184,5 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
             if not term:
                 break
         total += term
-    return total if d == 1 else stored(Fraction(total, d ** len(vals)))
+    total *= factor
+    return total if d == 1 else stored(Fraction(total, d ** k))

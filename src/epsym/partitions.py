@@ -24,9 +24,12 @@ refused on the spot.  :func:`nc_eps_set` runs it on a word and its
 pattern; :func:`enumerate_partitions` runs it on one label whose single
 pattern entry admits every crossing or none.  Trying joins in block
 order before opening a new block keeps restricted-growth order, at a
-cost that grows with the admitted set rather than with Bell(k).  The
-same "encloses" test decides whether two blocks cross: two disjoint
-blocks cross iff each encloses a point of the other.
+cost that grows with the admitted set rather than with Bell(k).  A
+join's crossing test looks only at the joining block's last point,
+which suffices because every state is itself admissible (see
+:func:`_grow`); :func:`find_case2_index`, which meets arbitrary
+partitions, uses the full test: two disjoint blocks cross iff each
+encloses a point of the other.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .epsmat import EpsilonMatrix, validate_index
 
@@ -209,7 +212,7 @@ class Category(enum.Enum):
     def allows(self) -> Callable[[int], bool]:
         """The family's block-size rule: ``allows(size)`` says whether a
         block may have ``size`` points."""
-        return _BLOCK_SIZE_RULES[self]
+        return _BLOCK_SIZE_RULES[self].allows
 
     def contains(self, pi: SetPartition) -> bool:
         return self is Category.ALL or all(map(self.allows, map(len, pi.blocks)))
@@ -217,7 +220,7 @@ class Category(enum.Enum):
     @property
     def largest_block(self) -> Optional[int]:
         """The largest block size the family allows; None if unbounded."""
-        return 2 if self in (Category.PAIR, Category.ONETWO) else None
+        return _BLOCK_SIZE_RULES[self].largest
 
     @classmethod
     def parse(cls, name: str) -> "Category":
@@ -228,11 +231,16 @@ class Category(enum.Enum):
                              "use all, pair, onetwo or even") from None
 
 
+class _SizeRule(NamedTuple):
+    allows: Callable[[int], bool]
+    largest: Optional[int]
+
+
 _BLOCK_SIZE_RULES = {
-    Category.ALL: lambda size: True,
-    Category.PAIR: lambda size: size == 2,
-    Category.ONETWO: lambda size: size in (1, 2),
-    Category.EVEN: lambda size: size % 2 == 0,
+    Category.ALL: _SizeRule(lambda size: True, None),
+    Category.PAIR: _SizeRule(lambda size: size == 2, 2),
+    Category.ONETWO: _SizeRule(lambda size: size in (1, 2), 2),
+    Category.EVEN: _SizeRule(lambda size: size % 2 == 0, None),
 }
 
 
@@ -306,6 +314,13 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     pattern entry 0.  A block already at ``cat``'s largest size takes no
     further point; the block-size rule of ``cat`` is applied to each
     finished placement before it becomes a ``SetPartition``.
+
+    Joining p to b completes a crossing with a block a exactly when a
+    point of b lies strictly inside a's span, since p lies after both.
+    The last point of b is enough to test: no state holds two crossing
+    blocks at pattern entry 0, so b lies wholly inside or wholly outside
+    the span of each such block a.  The test is false for a = b, which
+    needs no separate clause.
     """
     # admissible placements of points 1..p-1; each state's extensions are
     # appended in choice order, so the list stays in restricted-growth order
@@ -317,8 +332,8 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
         for blocks in states:
             for bi, b in enumerate(blocks):
                 if len(b) < cap and vals[b[0] - 1] == v and not any(
-                        row[vals[a[0] - 1] - 1] == 0 and _encloses(a, b)
-                        for a in blocks if a is not b):
+                        row[vals[a[0] - 1] - 1] == 0 and a[0] < b[-1] < a[-1]
+                        for a in blocks):
                     grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])
             grown.append(blocks + ((p,),))
         states = grown
@@ -331,8 +346,7 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
 
 
 def _encloses(a: Block, b: Block) -> bool:
-    # some point of b lies strictly between the first and last points of
-    # a; adding a point after both to b then completes a crossing of a
+    # some point of b lies strictly between the first and last points of a
     j = bisect_right(b, a[0])
     return j < len(b) and b[j] < a[-1]
 

@@ -180,6 +180,45 @@ def test_moment_matches_fraction_sum(pattern, cat):
     assert moment((), eps, spec, cat) == 1 and type(moment((), eps, spec, cat)) is int
 
 
+@pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)
+@pytest.mark.parametrize("pattern", [("ex-d",), ("ex-f",), ("comm", 4), ("free", 3),
+                                     ("block", 2, 2)], ids=lambda p: "".join(map(str, p)))
+def test_moment_with_labels_that_occur_once_matches_fraction_sum(pattern, cat):
+    eps = preset(*pattern)
+    rng = random.Random(f"once-{pattern}-{cat.value}")
+    for _ in range(3):
+        rows = _random_table(rng, eps.n)
+        rows[0] = []  # an empty row: every order of label 1 is 0
+        rows[1] = [0] + [rng.randint(-9, 9) for _ in range(3)]  # kappa_1 = 0
+        spec = CumulantSpec.of(rows)
+        for v in range(1, eps.n + 1):
+            # v once, among letters drawn from the other labels
+            rest = rng.choices([u for u in range(1, eps.n + 1) if u != v],
+                               k=rng.randint(6, 7))
+            rest.insert(rng.randint(0, len(rest)), v)
+            word = tuple(rest)
+            want = oracles.naive_moment(word, eps, rows, cat)
+            got = moment(word, eps, spec, cat)
+            assert got == want, (rows, word)
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+            if cat in (Category.PAIR, Category.EVEN):
+                assert got == 0 and type(got) is int
+
+
+def test_moment_errors_survive_the_singleton_factor():
+    # the whole word is checked before any label is factored out
+    spec = CumulantSpec.semicircle(4)
+    with pytest.raises(ValueError, match=r"^index entry 2 is 9, must lie in 1\.\.4$"):
+        moment((1, 9), preset("ex-d"), spec)
+    with pytest.raises(ValueError, match=r"^index entry 2 is True, not an integer$"):
+        moment((1, True), preset("ex-d"), spec)
+    with pytest.raises(ValueError, match=r"^index entry 3 is 0, must lie in 1\.\.4$"):
+        moment((2, 2, 0), preset("ex-d"), spec, Category.PAIR)
+    # the table's size is checked before the word
+    with pytest.raises(ValueError, match=r"^cumulant table is smaller than the pattern$"):
+        moment((1, 9), preset("ex-d"), CumulantSpec.semicircle(3))
+
+
 def test_integer_table_keeps_spec_equality():
     rows = [("1/7", "2/9"), ("-3/11", "1/13", "5/2"), (0, 0)]
     spec = CumulantSpec.of(rows)
