@@ -7,10 +7,11 @@ word's kernel, of the product of block cumulants.  With the all-ones
 off-diagonal pattern this collapses to classical independence, with the
 zero pattern to free independence.
 
-The moment sum runs in Python ints: with d the least common denominator
-of the table, a block of size m on coordinate v contributes the integer
-kappa_m(v)·d^m, so the products over a word of length k add up to
-d^k times the moment, which is divided out once at the end.
+Every block product runs in Python ints on one integer table: with d
+the least common denominator of the table, a block of size m on
+coordinate v contributes the integer kappa_m(v)·d^m, so a product over a
+word of length k is d^k times the block-cumulant product, which
+:func:`kappa_pi` divides out, and :func:`moment` once for its whole sum.
 
 A label that occurs once in the word is a singleton block of every
 admissible refinement, and a singleton crosses nothing.  Its
@@ -124,32 +125,36 @@ class CumulantSpec:
         return spec
 
 
-def _block_product(pi: SetPartition, vals: tuple[int, ...],
-                   spec: CumulantSpec) -> int | Fraction:
-    # each block's coordinate is read off its first point; a zero factor ends it
-    out = 1
-    for b in pi.blocks:
-        c = spec.kappa(vals[b[0] - 1], len(b))
-        if not c:
+def _scaled_block_product(blocks: Sequence[Sequence[int]], vals: tuple[int, ...],
+                          rows: tuple[tuple[int, ...], ...]) -> int:
+    # d^k times the block product over the integer table: each block's
+    # coordinate is read at its first point, a block longer than its row
+    # contributes 0, and a zero factor ends the product
+    term = 1
+    for b in blocks:
+        row = rows[vals[b[0] - 1] - 1]
+        term = term * row[len(b) - 1] if len(b) <= len(row) else 0
+        if not term:
             return 0
-        out *= c
-    return stored(out)
+    return term
 
 
 def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> int | Fraction:
     """Product over blocks of kappa_{block size}(block coordinate).
 
     Requires the partition to refine the kernel of ``i`` so every block
-    carries a single coordinate.
+    carries a single coordinate.  Labels are checked before the length.
     """
-    vals = tuple(i)
+    vals = validate_index(i, spec.n)
     if len(vals) != pi.k:
         raise ValueError(f"index length {len(vals)} != point count {pi.k}")
     for b in pi.blocks:
         if any(vals[p - 1] != vals[b[0] - 1] for p in b):
             raise ValueError(f"block {b} carries mixed coordinates; "
                              "partition must refine the kernel")
-    return _block_product(pi, vals, spec)
+    d, rows = spec.integer_table
+    scaled = _scaled_block_product(pi.blocks, vals, rows)
+    return scaled if d == 1 else stored(Fraction(scaled, d ** pi.k))
 
 
 def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
@@ -171,18 +176,10 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
             if not factor:
                 return 0
         vals = tuple(v for v in vals if vals.count(v) > 1)
-    total = 0
     # nc_eps_set yields only refinements of ker i, so kappa_pi's check is
-    # skipped; each term times the factor is d^k times the block product,
-    # a block longer than its row contributes 0, and a zero factor ends
-    # the term
+    # skipped; each term times the factor is d^k times the block product
+    total = 0
     for pi in nc_eps_set(vals, eps, cat):
-        term = 1
-        for b in pi.blocks:
-            row = rows[vals[b[0] - 1] - 1]
-            term = term * row[len(b) - 1] if len(b) <= len(row) else 0
-            if not term:
-                break
-        total += term
+        total += _scaled_block_product(pi.blocks, vals, rows)
     total *= factor
     return total if d == 1 else stored(Fraction(total, d ** k))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
@@ -259,8 +260,10 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     For every word j up to length max_k, the sum over partitions in the
     family of (value of the composed map at e_j) times the block-cumulant
     product must reproduce the moment of j restricted to the family.
-    The indicator values come from the tensor route, making this an
-    end-to-end consistency check between the two halves of the library.
+    The weights come from the tensor route: each partition's (k -> 0)
+    map lists its support as its rows, and a row on a word the
+    partition does not refine raises in :func:`kappa_pi`.  Every map is
+    materialised, so n**max_k above the materialisation limit is refused.
     """
     if max_k < 0:
         raise ValueError(f"max_k must be at least 0, got {max_k}")
@@ -269,18 +272,17 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     if spec.n < eps.n:
         raise ValueError("cumulant table is smaller than the pattern")
     n = eps.n
+    if n ** max_k > MATERIALIZE_LIMIT:
+        raise ValueError(f"max_k = {max_k} is too large: {n}**{max_k} words "
+                         f"exceed the limit {MATERIALIZE_LIMIT}")
     checked = 0
     for k in range(max_k + 1):
-        maps = [(pi, *run_algorithm(pi, eps, cat, n))
-                for pi in enumerate_partitions(k, cat)]
+        sums: dict[Label, int | Fraction] = {}
+        for pi in enumerate_partitions(k, cat):
+            for j, row in run_algorithm(pi, eps, cat, n)[1].rows.items():
+                sums[j] = sums.get(j, 0) + row[()] * kappa_pi(pi, j, spec)
         for j in product(range(1, n + 1), repeat=k):
-            lhs = 0
-            for pi, trace, mp in maps:
-                ind = mp.scalar_at(j, ()) if mp is not None \
-                    else evaluate_trace(trace, j)
-                if ind:
-                    lhs += ind * kappa_pi(pi, j, spec)
-            rhs = moment(j, eps, spec, cat)
+            lhs, rhs = sums.get(j, 0), moment(j, eps, spec, cat)
             checked += 1
             if lhs != rhs:
                 return CheckReport(False, checked,

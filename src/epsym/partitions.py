@@ -312,8 +312,8 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     every candidate refines ker vals, and a join is refused as soon as
     it completes a crossing between two blocks whose labels have
     pattern entry 0.  A block already at ``cat``'s largest size takes no
-    further point; the block-size rule of ``cat`` is applied to each
-    finished placement before it becomes a ``SetPartition``.
+    further point, and a family that refuses some size up to that cap
+    (pair, even) filters the finished placements by its block-size rule.
 
     Joining p to b completes a crossing with a block a exactly when a
     point of b lies strictly inside a's span, since p lies after both.
@@ -338,7 +338,7 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
             grown.append(blocks + ((p,),))
         states = grown
     k = len(vals)
-    if cat is not Category.ALL:
+    if not all(map(cat.allows, range(1, min(cap, k) + 1))):
         allowed = [cat.allows(size) for size in range(k + 1)]
         states = [blocks for blocks in states
                   if all(allowed[len(b)] for b in blocks)]

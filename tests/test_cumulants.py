@@ -11,7 +11,8 @@ from strategies import eps_with_index
 from epsym.cumulants import CumulantSpec, kappa_pi, moment, parse_fraction
 from epsym.epsmat import preset
 from epsym.groups import check_eps_exchangeability
-from epsym.partitions import Category, SetPartition, nc_eps_set, parse_partition
+from epsym.partitions import (Category, SetPartition, enumerate_partitions,
+                              nc_eps_set, parse_partition)
 
 SEMI = CumulantSpec.semicircle
 
@@ -40,6 +41,19 @@ def test_kappa_pi_rational_values():
     spec = CumulantSpec.of([(Fraction(1, 2), Fraction(3, 4))])
     assert kappa_pi(parse_partition("{1,2}{3}"), (1, 1, 1), spec) == \
         Fraction(3, 4) * Fraction(1, 2)
+
+
+def test_kappa_pi_reads_its_word_with_validate_index():
+    spec = SEMI(2)
+    with pytest.raises(ValueError, match=r"^index entry 1 is True, not an integer$"):
+        kappa_pi(parse_partition("{1,2}"), (True, True), spec)
+    with pytest.raises(ValueError, match=r"^index entry 1 is 3, must lie in 1\.\.2$"):
+        kappa_pi(parse_partition("{1,2}"), (3, 3), spec)
+    # a bad label is reported before a length mismatch, as in in_nc_eps
+    with pytest.raises(ValueError, match=r"^index entry 3 is 0, must lie in 1\.\.2$"):
+        kappa_pi(parse_partition("{1,2}"), (1, 1, 0), spec)
+    with pytest.raises(ValueError, match=r"^index length 3 != point count 2$"):
+        kappa_pi(parse_partition("{1,2}"), (1, 1, 1), spec)
 
 
 @given(eps_with_index(max_n=4, max_k=8), st.sampled_from(list(Category)))
@@ -156,6 +170,29 @@ def _random_table(rng, n):
             row[rng.randrange(1, len(row) - 1)] = 0
         rows.append(row + [0] * rng.randint(0, 2))
     return rows
+
+
+def test_kappa_pi_matches_fraction_product():
+    rng = random.Random("kappa_pi")
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        rows = _random_table(rng, n)
+        rows[0] = []  # an empty row: every order of label 1 is 0
+        rows[1] = [0] + rows[1][1:]  # kappa_1 = 0
+        for spec in (CumulantSpec.of(rows),
+                     CumulantSpec.of([[rng.randint(-5, 5) for _ in range(5)]
+                                      for _ in range(n)])):
+            for k in range(8):
+                word = tuple(rng.choices(range(1, n + 1), k=k))
+                for pi in enumerate_partitions(k):
+                    if any(word[p - 1] != word[b[0] - 1] for b in pi.blocks for p in b):
+                        continue
+                    want = Fraction(1)
+                    for b in pi.blocks:
+                        want *= spec.kappa(word[b[0] - 1], len(b))
+                    got = kappa_pi(pi, word, spec)
+                    assert got == want, (spec, word, pi)
+                    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import oracles
 from strategies import eps_matrices, rgs_partitions
 from epsym import indicator
-from epsym.cumulants import CumulantSpec
+from epsym.cumulants import CumulantSpec, moment
 from epsym.epsmat import preset
 from epsym.indicator import (MATERIALIZE_LIMIT, AlgorithmTrace,
                              compose_trace_map, definetti_identity_report,
@@ -354,6 +354,52 @@ def test_definetti_rejects_negative_max_k():
     # max_k = 0 still checks the empty word
     assert definetti_identity_report(
         preset("ex-d"), Category.ALL, CumulantSpec.semicircle(4), 0).checked == 1
+
+
+def test_definetti_names_the_first_word_a_wrong_map_weights(monkeypatch):
+    eps, cat, spec, n = preset("ex-d"), Category.PAIR, CumulantSpec.semicircle(4), 4
+    cross = parse_partition("{1,3}{2,4}")
+    support = sorted(run_algorithm(cross, eps, cat, n)[1].rows)
+    refined = [j for j in product(range(1, n + 1), repeat=4)
+               if j[0] == j[2] and j[1] == j[3] and j not in support]
+    lost, extra = support[len(support) // 2], refined[len(refined) // 2]
+    real = indicator.run_algorithm
+
+    def corrupt(edit):
+        def run(pi, *args):
+            trace, mp = real(pi, *args)
+            if pi == cross:
+                edit(mp.rows)
+            return trace, mp
+        monkeypatch.setattr(indicator, "run_algorithm", run)
+
+    # one support row lost, then one extra row on a word the partition refines;
+    # kappa_pi is 1 on every pair partition, so the sum moves by 1 at that word
+    for edit, j, shift in [(lambda rows: rows.pop(lost), lost, -1),
+                           (lambda rows: rows.update({extra: {(): 1}}), extra, 1)]:
+        corrupt(edit)
+        rep = definetti_identity_report(eps, cat, spec, 4)
+        want = moment(j, eps, spec, cat)
+        # every shorter word first, then j's rank in lexicographic order
+        rank = sum(n ** k for k in range(4)) + 1 + sum(
+            (v - 1) * n ** (3 - p) for p, v in enumerate(j))
+        assert (rep.passed, rep.checked, rep.counterexample) == (
+            False, rank, f"j={j}: indicator sum {want + shift} != moment {want}")
+    # a row on a word the partition does not refine is a loud error
+    corrupt(lambda rows: rows.update({(1, 2, 3, 4): {(): 1}}))
+    with pytest.raises(ValueError, match="refine the kernel"):
+        definetti_identity_report(eps, cat, spec, 4)
+
+
+def test_definetti_refuses_words_past_the_materialisation_limit(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a map was built before the refusal")
+    monkeypatch.setattr(indicator, "run_algorithm", no_work)
+    assert 5 ** 9 > MATERIALIZE_LIMIT
+    with pytest.raises(ValueError, match=r"^max_k = 9 is too large: 5\*\*9 words "
+                                         r"exceed the limit 1000000$"):
+        definetti_identity_report(preset("ex-f"), Category.ALL,
+                                  CumulantSpec.semicircle(5), 9)
 
 
 def test_trace_json_shape():
