@@ -24,8 +24,9 @@ The oracle check decides all n^k basis vectors without visiting them:
 the indicator's support is the set of labellings of the partition's
 blocks by 1..n under which every pair of crossing blocks carries
 pattern entry 1, built point by point and compared with the (k -> 0)
-result's rows in one pass.  A sampled check instead walks its
-drawn vectors one by one through the membership test.
+result's rows: every support word must carry 1, and no other row may
+be stored.  A sampled check instead walks its drawn vectors one by one
+through the membership test.
 
 The move choices depend only on the partition, never on the pattern or
 the family, so a trace can be reused across patterns; the pattern enters
@@ -41,7 +42,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .cumulants import CumulantSpec, kappa_pi, moment
-from .epsmat import EpsilonMatrix
+from .epsmat import EpsilonMatrix, validate_index
 from .partitions import (Category, SetPartition, enumerate_partitions,
                          find_case2_index, find_noncrossing_subpartition,
                          in_nc_eps)
@@ -125,21 +126,27 @@ def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
     swap on legs l, l+1), in reverse step order, then transposes."""
     end = trace.steps[-1].points if trace.steps else trace.initial.k
     composed = TensorMap.identity(n, end)
+    swap = None  # the gated swap, built at the first swap step
     for step in reversed(trace.steps):
         if step.case == 1:
             core = t_pi(TwoRowPartition(0, step.sigma.k, step.sigma), n)
             composed = core.on_legs(step.p - 1, composed)
         else:
-            composed = r_map("cross1", trace.eps, n).on_legs(step.l - 1, composed)
+            if swap is None:
+                swap = r_map("cross1", trace.eps, n)
+            composed = swap.on_legs(step.l - 1, composed)
     return composed.adjoint()
 
 
 def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> int:
     """Value of the composed map on one basis vector, without
     materialising anything.  Every step sends a basis vector to at most
-    one basis vector with coefficient 1, so a single walk suffices."""
-    cur = tuple(i)
+    one basis vector with coefficient 1, so a single walk suffices.
+    The labels must lie in 1..n of the trace's pattern, one per point."""
     eps = trace.eps
+    cur = validate_index(i, eps.n)
+    if len(cur) != trace.initial.k:
+        raise ValueError(f"index length {len(cur)} != point count {trace.initial.k}")
     for step in trace.steps:
         if step.case == 1:
             seg = cur[step.p - 1:step.q]
@@ -184,8 +191,9 @@ def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
     """The words on which the indicator of ``pi`` is 1: the labellings of
     its blocks by 1..n under which every pair of crossing blocks carries
     pattern entry 1.  Built point by point: a block's first point takes
-    each label allowed against the earlier blocks it crosses, and its
-    later points repeat that label."""
+    every label when the block crosses no earlier block, else each label
+    whose pattern row has entry 1 at the labels of the earlier blocks it
+    crosses; its later points repeat that label."""
     own = pi.owner
     first = [b[0] - 1 for b in pi.blocks]
     crossed: list[set[int]] = [set() for _ in pi.blocks]
@@ -193,14 +201,17 @@ def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
         a, b = sorted((own[p - 1], own[q - 1]))
         crossed[b].add(first[a])
     labels = range(1, n + 1)
+    rows = tuple(enumerate(eps.entries[:n], start=1))
     words: list[Label] = [()]
     for p, b in enumerate(own):
         f = first[b]
         if f < p:
             words = [w + (w[f],) for w in words]
+        elif not crossed[b]:
+            words = [w + (v,) for w in words for v in labels]
         else:
-            words = [w + (v,) for w in words for v in labels
-                     if all(eps[v, w[a]] == 1 for a in crossed[b])]
+            words = [w + (v,) for w in words for v, row in rows
+                     if all(row[w[a] - 1] == 1 for a in crossed[b])]
     return set(words)
 
 
@@ -210,8 +221,13 @@ def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> Check
 
 
 def check_sample(sample: Optional[int]) -> None:
-    """Reject a sample size below 1; ``None`` asks for every vector."""
-    if sample is not None and sample < 1:
+    """Reject a sample size that is not an integer of at least 1 (a
+    boolean is refused); ``None`` asks for every vector."""
+    if sample is None:
+        return
+    if type(sample) is not int:
+        raise ValueError(f"sample must be an integer, got {sample!r}")
+    if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
 
 
@@ -234,9 +250,11 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
         if n ** k > MATERIALIZE_LIMIT:
             raise ValueError("space too large to enumerate; pass sample=")
         support = _support(pi, eps, n)
-        rows = mp.rows
-        wrong = [i for i in support.union(rows)
-                 if rows.get(i, {}).get((), 0) != (1 if i in support else 0)]
+        rows, one = mp.rows, {(): 1}
+        # support words the map misses or weights wrongly, then its rows
+        # outside the support (a stored row is never zero)
+        wrong = [i for i in support if rows.get(i) != one]
+        wrong += rows.keys() - support
         if not wrong:
             return CheckReport(True, n ** k)
         bad = min(wrong)

@@ -360,28 +360,32 @@ def find_noncrossing_subpartition(
     only when no proper one exists and the whole partition is
     noncrossing.  Returns (sigma, p, q) with sigma relabelled to
     1..(q-p+1), or None if nothing qualifies.
+
+    A block-closed interval holds both blocks of every crossing or
+    neither, so its restriction is noncrossing exactly when no crossing
+    opens (first point of a :attr:`SetPartition.crossing_pairs` entry)
+    at a point of p..q; only the interval returned is restricted.
     """
     k = pi.k
     if k == 0:
         return None
-    bmin = [pi.block_containing(p)[0] for p in range(1, k + 1)]
-    bmax = [pi.block_containing(p)[-1] for p in range(1, k + 1)]
+    opens = {p1 for p1, _ in pi.crossing_pairs}
+    ends = [pi.blocks[b] for b in pi.owner]  # each point's block
     for p in range(1, k + 1):
         mn, mx = k + 1, 0
         for q in range(p, k + 1):
-            mn = min(mn, bmin[q - 1])
-            mx = max(mx, bmax[q - 1])
+            mn = min(mn, ends[q - 1][0])
+            mx = max(mx, ends[q - 1][-1])
             if mn < p:
                 break  # a block escapes left; longer intervals keep it
             if mx > q:
                 continue  # a block escapes right; extend
             if q - p + 1 == k:
                 break  # the full interval is handled below
-            sigma = pi.restrict(p, q)
-            if sigma.is_noncrossing:
-                return sigma, p, q
+            if opens.isdisjoint(range(p, q + 1)):
+                return pi.restrict(p, q), p, q
             break  # crossing stays inside every longer interval at this p
-    if pi.is_noncrossing:
+    if not opens:
         return pi, 1, k
     return None
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms:
 partitions are enumerated by point insertion or by walking every
 growth string instead of by placement with crossing pruning,
 noncrossing partitions by the first-block gap recursion, crossing
-predicates by literal quadruple loops, counting sequences by their
+predicates by literal quadruple loops, the reduction's interval search
+by restricting every candidate interval, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
 and a quadratic lex-least selection, a word's reflection-representation
 action by a plane-by-plane product, the tensor maps as coefficient
@@ -131,6 +132,36 @@ def naive_crossing_pairs(pi) -> set[tuple[int, int]]:
                     if own[q2 - 1] == own[q1 - 1]:
                         pairs.add((p1, q1))
     return pairs
+
+
+def naive_find_noncrossing_subpartition(pi):
+    """The interval search of ``find_noncrossing_subpartition`` with every
+    candidate restricted and its crossings listed by the quadruple loop:
+    block-closed p..q, proper intervals leftmost then shortest, the full
+    interval only when no proper one qualifies."""
+    k = pi.k
+    if k == 0:
+        return None
+    bmin = [pi.block_containing(p)[0] for p in range(1, k + 1)]
+    bmax = [pi.block_containing(p)[-1] for p in range(1, k + 1)]
+    for p in range(1, k + 1):
+        mn, mx = k + 1, 0
+        for q in range(p, k + 1):
+            mn = min(mn, bmin[q - 1])
+            mx = max(mx, bmax[q - 1])
+            if mn < p:
+                break
+            if mx > q:
+                continue
+            if q - p + 1 == k:
+                break
+            sigma = pi.restrict(p, q)
+            if not naive_crossing_pairs(sigma):
+                return sigma, p, q
+            break
+    if not naive_crossing_pairs(pi):
+        return pi, 1, k
+    return None
 
 
 def blocks_cross_naive(a, b) -> bool:

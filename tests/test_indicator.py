@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -152,11 +153,31 @@ def test_figure_partition_sampled_oracle():
     assert rep.passed, rep.counterexample
 
 
-@pytest.mark.parametrize("sample", [0, -5])
-def test_sample_below_one_is_rejected(sample):
-    with pytest.raises(ValueError, match=rf"^sample must be at least 1, got {sample}$"):
+@pytest.mark.parametrize("sample,message", [
+    (0, "sample must be at least 1, got 0"),
+    (-5, "sample must be at least 1, got -5"),
+    (True, "sample must be an integer, got True"),
+    (2.5, "sample must be an integer, got 2.5"),
+])
+def test_sample_below_one_is_rejected(sample, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         verify_oracle(parse_partition("{1,3}{2,4}"), preset("ex-f"), Category.ALL, 3,
                       sample=sample)
+
+
+@pytest.mark.parametrize("text,i,message", [
+    ("{1,2}", (0, 0), "index entry 1 is 0, must lie in 1..4"),
+    ("{1,2}", (9, 9), "index entry 1 is 9, must lie in 1..4"),
+    ("{1,2}", (-1, -1), "index entry 1 is -1, must lie in 1..4"),
+    ("{1,2}", (True, True), "index entry 1 is True, not an integer"),
+    ("{1,2}", (1, 1, 1), "index length 3 != point count 2"),
+    ("{1,3}{2,4}", (1,), "index length 1 != point count 4"),
+    ("{1,3}{2,4}", (5, 1, 5, 1), "index entry 1 is 5, must lie in 1..4"),
+])
+def test_evaluate_trace_validates_its_vector(text, i, message):
+    trace, _ = run_algorithm(parse_partition(text), preset("ex-d"), Category.ALL, 2)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        evaluate_trace(trace, i)
 
 
 def test_materialisation_limit_respected():
@@ -177,6 +198,17 @@ def test_lazy_evaluation_matches_materialised_map():
         for _ in range(10):
             i = tuple(rng.randint(1, 3) for _ in range(5))
             assert evaluate_trace(trace, i) == mp.scalar_at(i, ())
+
+
+def test_traces_match_a_reduction_driven_by_the_search_oracle(monkeypatch):
+    eps = preset("ex-f")
+    partitions = [pi for k in range(8) for pi in enumerate_partitions(k)]
+    traces = [run_algorithm(pi, eps, Category.ALL, 1)[0].to_json() for pi in partitions]
+    monkeypatch.setattr(indicator, "find_noncrossing_subpartition",
+                        oracles.naive_find_noncrossing_subpartition)
+    for pi, want in zip(partitions, traces):
+        assert run_algorithm(pi, eps, Category.ALL, 1)[0].to_json() == want, pi
+    assert len(traces) == 1156
 
 
 def test_step_maps_compose_to_the_returned_map():

@@ -352,6 +352,16 @@ def test_subpartition_postconditions(pi):
             assert not s2.is_noncrossing
 
 
+def test_subpartition_matches_the_restrict_and_test_oracle():
+    seen = 0
+    for k in range(9):
+        for pi in enumerate_partitions(k):
+            assert find_noncrossing_subpartition(pi) == \
+                oracles.naive_find_noncrossing_subpartition(pi), pi
+            seen += 1
+    assert seen == 5296
+
+
 def test_restrict_and_remove_interval_share_one_split():
     pi = P("{1,3}{2}{4,5}")
     assert pi.restrict(1, 3) == P("{1,3}{2}")
