@@ -154,10 +154,10 @@ def test_figure_partition_sampled_oracle():
 
 
 @pytest.mark.parametrize("sample,message", [
-    (0, "sample must be at least 1, got 0"),
-    (-5, "sample must be at least 1, got -5"),
-    (True, "sample must be an integer, got True"),
-    (2.5, "sample must be an integer, got 2.5"),
+    pytest.param(0, "sample must be at least 1, got 0", id="0"),
+    pytest.param(-5, "sample must be at least 1, got -5", id="-5"),
+    pytest.param(True, "sample must be an integer, got True", id="True"),
+    pytest.param(2.5, "sample must be an integer, got 2.5", id="2.5"),
 ])
 def test_sample_below_one_is_rejected(sample, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -203,12 +203,12 @@ def test_lazy_evaluation_matches_materialised_map():
 def test_traces_match_a_reduction_driven_by_the_search_oracle(monkeypatch):
     eps = preset("ex-f")
     partitions = [pi for k in range(8) for pi in enumerate_partitions(k)]
+    assert len(partitions) == 1156
     traces = [run_algorithm(pi, eps, Category.ALL, 1)[0].to_json() for pi in partitions]
     monkeypatch.setattr(indicator, "find_noncrossing_subpartition",
                         oracles.naive_find_noncrossing_subpartition)
     for pi, want in zip(partitions, traces):
         assert run_algorithm(pi, eps, Category.ALL, 1)[0].to_json() == want, pi
-    assert len(traces) == 1156
 
 
 def test_step_maps_compose_to_the_returned_map():

@@ -353,13 +353,11 @@ def test_subpartition_postconditions(pi):
 
 
 def test_subpartition_matches_the_restrict_and_test_oracle():
-    seen = 0
-    for k in range(9):
-        for pi in enumerate_partitions(k):
-            assert find_noncrossing_subpartition(pi) == \
-                oracles.naive_find_noncrossing_subpartition(pi), pi
-            seen += 1
-    assert seen == 5296
+    partitions = [pi for k in range(9) for pi in enumerate_partitions(k)]
+    assert len(partitions) == 5296
+    for pi in partitions:
+        assert find_noncrossing_subpartition(pi) == \
+            oracles.naive_find_noncrossing_subpartition(pi), pi
 
 
 def test_restrict_and_remove_interval_share_one_split():
