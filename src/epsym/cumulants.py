@@ -23,7 +23,10 @@ repeated labels.
 Everything is exact.  This module owns the package's number format:
 :func:`parse_fraction` is the one reader of values from outside and
 :func:`stored` the one storage rule, an ``int`` when the value is
-integral and a ``Fraction`` only when it is not.
+integral and a ``Fraction`` only when it is not.  It also owns the input
+check that both reports over every word up to a length (moment
+invariance, the de Finetti identity) run first, :func:`check_word_loop`,
+and the package's limit on words, :data:`MATERIALIZE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .epsmat import EpsilonMatrix, validate_index
+from .epsmat import EpsilonMatrix, check_at_least, validate_index, validate_word
 from .partitions import Category, SetPartition, nc_eps_set
 
 
@@ -145,23 +148,30 @@ def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> int | Fr
     Requires the partition to refine the kernel of ``i`` so every block
     carries a single coordinate.  Labels are checked before the length.
     """
-    vals = validate_index(i, spec.n)
-    if len(vals) != pi.k:
-        raise ValueError(f"index length {len(vals)} != point count {pi.k}")
+    vals = validate_word(i, spec.n, pi.k)
+    d, rows = spec.integer_table
+    return stored(Fraction(_scaled_kappa(pi, vals, rows), d ** pi.k))
+
+
+def _scaled_kappa(pi: SetPartition, vals: tuple[int, ...],
+                  rows: tuple[tuple[int, ...], ...]) -> int:
+    # d^k times kappa_pi on a checked word; a block of mixed labels is an error
     for b in pi.blocks:
         if any(vals[p - 1] != vals[b[0] - 1] for p in b):
             raise ValueError(f"block {b} carries mixed coordinates; "
                              "partition must refine the kernel")
-    d, rows = spec.integer_table
-    scaled = _scaled_block_product(pi.blocks, vals, rows)
-    return scaled if d == 1 else stored(Fraction(scaled, d ** pi.k))
+    return _scaled_block_product(pi.blocks, vals, rows)
+
+
+def _check_table(eps: EpsilonMatrix, spec: CumulantSpec) -> None:
+    if spec.n < eps.n:
+        raise ValueError("cumulant table is smaller than the pattern")
 
 
 def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
            cat: Category = Category.ALL) -> int | Fraction:
     """Joint moment of the word ``i`` under the mixed independence rule."""
-    if spec.n < eps.n:
-        raise ValueError("cumulant table is smaller than the pattern")
+    _check_table(eps, spec)
     vals = validate_index(i, eps.n)
     k = len(vals)
     d, rows = spec.integer_table
@@ -183,3 +193,22 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
         total += _scaled_block_product(pi.blocks, vals, rows)
     total *= factor
     return total if d == 1 else stored(Fraction(total, d ** k))
+
+
+# Keyed on n**k, the words walked; keyed on n**#blocks map entries, the
+# benchmark's walk-route items (up to 8 blocks at n = 5) would be materialised.
+MATERIALIZE_LIMIT = 10 ** 6
+
+
+def check_word_loop(eps: EpsilonMatrix, spec: CumulantSpec, max_k: int) -> None:
+    """Check a report over every word up to length ``max_k`` before any work:
+    max_k >= 0, identical rows, a table as large as the pattern, n**max_k
+    words within MATERIALIZE_LIMIT."""
+    check_at_least("max_k", max_k, 0)
+    if not spec.identically_distributed:
+        raise ValueError("coordinates must be identically distributed")
+    _check_table(eps, spec)
+    n = eps.n
+    if n ** max_k > MATERIALIZE_LIMIT:
+        raise ValueError(f"max_k = {max_k} is too large: {n}**{max_k} words "
+                         f"exceed the limit {MATERIALIZE_LIMIT}")

@@ -7,7 +7,8 @@ off-diagonal ones) and ``free`` (all zeros) mark the classical and the
 maximally noncommutative ends of the family; everything in between mixes
 the two regimes.
 
-All indices on the public surface are 1-based.
+All indices on the public surface are 1-based.  The rules for words and
+integer arguments live here, and each public entry point applies them once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def make_epsilon(n: int, entries) -> EpsilonMatrix:
     Raises ValueError with a distinct message for each violation: wrong
     shape, non-bit entry, nonzero diagonal, broken symmetry.
     """
-    if n < 1:
+    if check_int("size", n) < 1:
         raise ValueError("size must be a positive integer")
     rows = tuple(tuple(r) for r in entries)
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -215,6 +216,33 @@ def validate_index(values, n: int) -> tuple[int, ...]:
         if not 1 <= v <= n:
             raise ValueError(f"index entry {pos + 1} is {v!r}, must lie in 1..{n}")
     return vals
+
+
+def validate_word(values, n: int, k: int) -> tuple[int, ...]:
+    """Check a word on k points: its labels first, then one per point."""
+    vals = validate_index(values, n)
+    if len(vals) != k:
+        raise ValueError(f"index length {len(vals)} != point count {k}")
+    return vals
+
+
+def check_int(name: str, value) -> int:
+    """The rule for integer arguments: an int, never a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_at_least(name: str, value, low: int) -> int:
+    if check_int(name, value) < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def check_in_range(name: str, value, low: int, high: int) -> int:
+    if not low <= check_int(name, value) <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}")
+    return value
 
 
 @dataclass(frozen=True)

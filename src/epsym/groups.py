@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cumulants import CumulantSpec, moment, parse_fraction
+from .cumulants import CumulantSpec, check_word_loop, moment, parse_fraction
 from .epsmat import EpsilonMatrix, Permutation, validate_index
 from .report import CheckReport, CheckResult, SuiteReport
 
@@ -130,19 +130,15 @@ def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
 
     Verifies moment(i) == moment(s o i) for all automorphisms s and all
     words of length up to ``max_k``.  The cumulant rows must be
-    identical, matching the identically-distributed hypothesis.
+    identical, matching the identically-distributed hypothesis; the
+    inputs are checked by :func:`epsym.cumulants.check_word_loop`.
     """
-    if max_k < 0:
-        raise ValueError(f"max_k must be at least 0, got {max_k}")
-    if not spec.identically_distributed:
-        raise ValueError("coordinates must be identically distributed")
+    check_word_loop(eps, spec, max_k)
     n = eps.n
     group = automorphism_group(eps)
     checked = 0
     for k in range(max_k + 1):
-        table = {}
-        for i in product(range(1, n + 1), repeat=k):
-            table[i] = moment(i, eps, spec)
+        table = {i: moment(i, eps, spec) for i in product(range(1, n + 1), repeat=k)}
         for sigma in group.elements:
             for i, m in table.items():
                 moved = tuple(sigma(v) for v in i)

@@ -41,18 +41,14 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .cumulants import CumulantSpec, kappa_pi, moment
-from .epsmat import EpsilonMatrix, validate_index
+from .cumulants import (MATERIALIZE_LIMIT, CumulantSpec, _scaled_kappa,
+                        check_word_loop, moment)
+from .epsmat import EpsilonMatrix, check_at_least, check_in_range, validate_word
 from .partitions import (Category, SetPartition, enumerate_partitions,
                          find_case2_index, find_noncrossing_subpartition,
                          in_nc_eps)
 from .report import CheckReport
 from .tensormaps import Label, TensorMap, TwoRowPartition, r_map, t_pi
-
-# Keyed on n**k, the vectors a full oracle check walks; keyed on the
-# n**#blocks entries a map holds, the benchmark's walk-route items (up to
-# 8 blocks at n = 5) would be materialised and evaluate_trace unexercised.
-MATERIALIZE_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -144,9 +140,7 @@ def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> int:
     one basis vector with coefficient 1, so a single walk suffices.
     The labels must lie in 1..n of the trace's pattern, one per point."""
     eps = trace.eps
-    cur = validate_index(i, eps.n)
-    if len(cur) != trace.initial.k:
-        raise ValueError(f"index length {len(cur)} != point count {trace.initial.k}")
+    cur = validate_word(i, eps.n, trace.initial.k)
     for step in trace.steps:
         if step.case == 1:
             seg = cur[step.p - 1:step.q]
@@ -172,8 +166,7 @@ def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
     The family must contain ``pi`` and, by the removal lemma, every
     intermediate partition; that is asserted step by step.
     """
-    if n < 1 or n > eps.n:
-        raise ValueError(f"base dimension must lie in 1..{eps.n}")
+    check_in_range("base dimension", n, 1, eps.n)
     if not cat.contains(pi):
         raise ValueError("partition is not in the requested family")
     steps = _reduction_steps(pi)
@@ -221,14 +214,9 @@ def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> Check
 
 
 def check_sample(sample: Optional[int]) -> None:
-    """Reject a sample size that is not an integer of at least 1 (a
-    boolean is refused); ``None`` asks for every vector."""
-    if sample is None:
-        return
-    if type(sample) is not int:
-        raise ValueError(f"sample must be an integer, got {sample!r}")
-    if sample < 1:
-        raise ValueError(f"sample must be at least 1, got {sample}")
+    """Refuse a sample that is not an integer of at least 1; None asks for all."""
+    if sample is not None:
+        check_at_least("sample", sample, 1)
 
 
 def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
@@ -280,27 +268,21 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     product must reproduce the moment of j restricted to the family.
     The weights come from the tensor route: each partition's (k -> 0)
     map lists its support as its rows, and a row on a word the
-    partition does not refine raises in :func:`kappa_pi`.  Every map is
-    materialised, so n**max_k above the materialisation limit is refused.
+    partition does not refine raises in :func:`kappa_pi`'s kernel test;
+    the sums run in ints, times d**k.  Every map is materialised, so
+    n**max_k above the materialisation limit is refused.
     """
-    if max_k < 0:
-        raise ValueError(f"max_k must be at least 0, got {max_k}")
-    if not spec.identically_distributed:
-        raise ValueError("coordinates must be identically distributed")
-    if spec.n < eps.n:
-        raise ValueError("cumulant table is smaller than the pattern")
+    check_word_loop(eps, spec, max_k)
     n = eps.n
-    if n ** max_k > MATERIALIZE_LIMIT:
-        raise ValueError(f"max_k = {max_k} is too large: {n}**{max_k} words "
-                         f"exceed the limit {MATERIALIZE_LIMIT}")
+    d, rows = spec.integer_table
     checked = 0
     for k in range(max_k + 1):
-        sums: dict[Label, int | Fraction] = {}
+        sums: dict[Label, int] = {}
         for pi in enumerate_partitions(k, cat):
             for j, row in run_algorithm(pi, eps, cat, n)[1].rows.items():
-                sums[j] = sums.get(j, 0) + row[()] * kappa_pi(pi, j, spec)
+                sums[j] = sums.get(j, 0) + row[()] * _scaled_kappa(pi, j, rows)
         for j in product(range(1, n + 1), repeat=k):
-            lhs, rhs = sums.get(j, 0), moment(j, eps, spec, cat)
+            lhs, rhs = Fraction(sums.get(j, 0), d ** k), moment(j, eps, spec, cat)
             checked += 1
             if lhs != rhs:
                 return CheckReport(False, checked,

@@ -12,10 +12,10 @@ cross itself only where the commutation pattern allows it.  Writing
 happens at labels with pattern entry 1.  The admissible refinements of
 the kernel of ``i`` are the summation domain of the mixed
 moment-cumulant formula and the support of the indicator functional
-built in :mod:`epsym.indicator`.  The test lives in one place,
+built in :mod:`epsym.indicator`.  The test lives in one place, behind
 :func:`is_eps_noncrossing`; :func:`in_nc_eps` adds the kernel test in
-front of it, and every word's labels are checked first, by
-:func:`epsym.epsmat.validate_index`.
+front of it.  Each checks its word once, first, by
+:func:`epsym.epsmat.validate_word`: labels in 1..n, then one per point.
 
 Both partition lists come from one placement loop: points are placed
 left to right, a point may join only an earlier block with its own
@@ -28,8 +28,7 @@ cost that grows with the admitted set rather than with Bell(k).  A
 join's crossing test looks only at the joining block's last point,
 which suffices because every state is itself admissible (see
 :func:`_grow`); :func:`find_case2_index`, which meets arbitrary
-partitions, uses the full test: two disjoint blocks cross iff each
-encloses a point of the other.
+partitions, reads the full list :attr:`SetPartition.crossing_pairs`.
 """
 
 from __future__ import annotations
@@ -38,9 +37,10 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .epsmat import EpsilonMatrix, validate_index
+from .epsmat import (EpsilonMatrix, check_in_range, check_int, validate_index,
+                     validate_word)
 
 Block = tuple[int, ...]
 
@@ -146,8 +146,7 @@ class SetPartition:
 
     def swap_points(self, l: int) -> "SetPartition":
         """Exchange the legs sitting on points l and l+1."""
-        if not 1 <= l < self.k:
-            raise ValueError(f"l must lie in 1..{self.k - 1}")
+        check_in_range("l", l, 1, self.k - 1)
 
         def mv(x: int) -> int:
             if x == l:
@@ -201,26 +200,22 @@ class TwoRowPartition:
 
 
 class Category(enum.Enum):
-    """Block-size families closed under removing subpartitions."""
+    """Block-size families closed under removing subpartitions, valued
+    by name.  ``allows(size)`` says whether a block may have ``size``
+    points; ``largest_block`` is the largest size allowed, or None."""
 
-    ALL = "all"
-    PAIR = "pair"
-    ONETWO = "onetwo"
-    EVEN = "even"
+    ALL = ("all", lambda size: True, None)
+    PAIR = ("pair", lambda size: size == 2, 2)
+    ONETWO = ("onetwo", lambda size: size in (1, 2), 2)
+    EVEN = ("even", lambda size: size % 2 == 0, None)
 
-    @property
-    def allows(self) -> Callable[[int], bool]:
-        """The family's block-size rule: ``allows(size)`` says whether a
-        block may have ``size`` points."""
-        return _BLOCK_SIZE_RULES[self].allows
+    def __new__(cls, name: str, allows: Callable[[int], bool], largest: Optional[int]):
+        member = object.__new__(cls)
+        member._value_, member.allows, member.largest_block = name, allows, largest
+        return member
 
     def contains(self, pi: SetPartition) -> bool:
         return self is Category.ALL or all(map(self.allows, map(len, pi.blocks)))
-
-    @property
-    def largest_block(self) -> Optional[int]:
-        """The largest block size the family allows; None if unbounded."""
-        return _BLOCK_SIZE_RULES[self].largest
 
     @classmethod
     def parse(cls, name: str) -> "Category":
@@ -229,19 +224,6 @@ class Category(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown category {name!r}; "
                              "use all, pair, onetwo or even") from None
-
-
-class _SizeRule(NamedTuple):
-    allows: Callable[[int], bool]
-    largest: Optional[int]
-
-
-_BLOCK_SIZE_RULES = {
-    Category.ALL: _SizeRule(lambda size: True, None),
-    Category.PAIR: _SizeRule(lambda size: size == 2, 2),
-    Category.ONETWO: _SizeRule(lambda size: size in (1, 2), 2),
-    Category.EVEN: _SizeRule(lambda size: size % 2 == 0, None),
-}
 
 
 def kernel(values: Sequence[int]) -> SetPartition:
@@ -263,7 +245,7 @@ def enumerate_partitions(k: int, cat: Category = Category.ALL,
     One label and a one-entry pattern: every join is allowed, and the
     entry admits every crossing (1) or none (0).
     """
-    if k < 0:
+    if check_int("k", k) < 0:
         raise ValueError("k must be >= 0")
     if k > ENUMERATE_LIMIT:
         raise ValueError(f"k = {k} is too large to enumerate; the limit is {ENUMERATE_LIMIT}")
@@ -277,24 +259,21 @@ def is_eps_noncrossing(pi: SetPartition, i: Sequence[int],
     Evaluated literally on all crossing quadruples; ``pi`` need not
     refine the kernel of ``i``.
     """
-    vals = validate_index(i, eps.n)
-    if len(vals) != pi.k:
-        raise ValueError(f"index length {len(vals)} != point count {pi.k}")
-    return all(eps[vals[p - 1], vals[q - 1]] == 1 for p, q in pi.crossing_pairs)
+    return _crossings_commute(pi, validate_word(i, eps.n, pi.k), eps)
 
 
 def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: EpsilonMatrix) -> bool:
-    """Membership of ``pi`` in the admissible refinements of ker i.
+    """Membership of ``pi`` in the admissible refinements of ker i.  The
+    word is checked before the kernel test, so a bad word raises even
+    when it splits a block."""
+    vals = validate_word(i, eps.n, pi.k)
+    return all(vals[p - 1] == vals[b[0] - 1] for b in pi.blocks for p in b) \
+        and _crossings_commute(pi, vals, eps)
 
-    The labels are validated before the kernel test, so a bad word
-    raises even when it splits a block.
-    """
-    vals = validate_index(i, eps.n)
-    if len(vals) != pi.k:
-        raise ValueError(f"index length {len(vals)} != point count {pi.k}")
-    if any(vals[p - 1] != vals[b[0] - 1] for b in pi.blocks for p in b):
-        return False
-    return is_eps_noncrossing(pi, vals, eps)
+
+def _crossings_commute(pi: SetPartition, vals: Sequence[int], eps: EpsilonMatrix) -> bool:
+    # every crossing of pi carries pattern entry 1 on the checked word
+    return all(eps[vals[p - 1], vals[q - 1]] == 1 for p, q in pi.crossing_pairs)
 
 
 def nc_eps_set(i: Sequence[int], eps: EpsilonMatrix,
@@ -345,12 +324,6 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     return [SetPartition(k, blocks) for blocks in states]
 
 
-def _encloses(a: Block, b: Block) -> bool:
-    # some point of b lies strictly between the first and last points of a
-    j = bisect_right(b, a[0])
-    return j < len(b) and b[j] < a[-1]
-
-
 def find_noncrossing_subpartition(
         pi: SetPartition) -> Optional[tuple[SetPartition, int, int]]:
     """Block-closed interval p..q whose restriction is noncrossing.
@@ -392,18 +365,12 @@ def find_noncrossing_subpartition(
 
 def find_case2_index(pi: SetPartition) -> Optional[int]:
     """Smallest l whose legs l, l+1 sit on crossing blocks V, V' with
-    min(V') < min(V).  Swapping such legs pulls the earlier block left."""
-    for l in range(1, pi.k):
-        ai, bi = pi.owner[l - 1], pi.owner[l]
-        if ai == bi:
-            continue
-        a, b = pi.blocks[ai], pi.blocks[bi]
-        if b[0] >= a[0]:
-            continue
-        # two disjoint blocks cross iff each encloses a point of the other
-        if _encloses(a, b) and _encloses(b, a):
-            return l
-    return None
+    min(V') < min(V).  Swapping such legs pulls the earlier block left.
+    Two blocks cross iff a listed crossing pair has a point in each."""
+    own = pi.owner
+    # index pairs (earlier, later) of crossing blocks, indexed by first point
+    crossing = {tuple(sorted((own[p - 1], own[q - 1]))) for p, q in pi.crossing_pairs}
+    return next((l for l in range(1, pi.k) if (own[l], own[l - 1]) in crossing), None)
 
 
 def format_partition(pi: SetPartition) -> str:

@@ -42,7 +42,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .cumulants import parse_fraction, stored
-from .epsmat import EpsilonMatrix
+from .epsmat import EpsilonMatrix, check_in_range
 from .partitions import TwoRowPartition
 from .report import CheckResult, SuiteReport
 
@@ -278,10 +278,7 @@ def r_map(kind: str, eps: EpsilonMatrix, n: int | None = None) -> TensorMap:
     idid0:     e_i x e_j -> [eps_ij = 0] e_i x e_j
     paarbaar0: e_i x e_j -> [i = j] sum_k [eps_ik = 0] e_k x e_k
     """
-    if n is None:
-        n = eps.n
-    elif not 1 <= n <= eps.n:
-        raise ValueError(f"base dimension must lie in 1..{eps.n}")
+    n = eps.n if n is None else check_in_range("base dimension", n, 1, eps.n)
     if kind not in _GATED:
         raise ValueError(f"unknown map kind {kind!r}; known: {', '.join(_GATED)}")
     pi, gate = _GATED[kind]

@@ -279,6 +279,8 @@ def test_usage_errors_exit_2(capsys):
     ["definetti", "--preset", "ex-d", "--max-k", "-1"],
     # 5**9 words per length exceed the materialisation limit
     ["definetti", "--preset", "ex-f", "--max-k", "9"],
+    # the same limit on words, refused before the automorphism group is listed
+    ["exchangeability", "--preset", "ex-f", "--max-k", "9"],
     ["show-eps", "--preset", "block", "--n", "-1", "--m", "3"],
     # a size option the pattern does not take
     ["show-eps", "--preset", "ex-d", "--n", "7", "--m", "2"],
@@ -288,7 +290,8 @@ def test_usage_errors_exit_2(capsys):
     ["mpi", "verify", "--preset", "ex-d", "--size", "9", "--partition", "{1,2}"],
 ], ids=["sample-negative", "sample-zero-json", "partitions-k12", "partitions-k12-pair-nc",
         "mpi-verify-k12", "sample-zero-empty-family", "exchangeability-max-k-negative",
-        "definetti-max-k-negative", "definetti-max-k-large", "block-size-negative",
+        "definetti-max-k-negative", "definetti-max-k-large",
+        "exchangeability-max-k-large", "block-size-negative",
         "fixed-preset-sizes", "fixed-preset-m", "comm-given-m", "free-given-m",
         "mpi-fixed-preset-size"])
 def test_out_of_range_work_exits_2(capsys, argv):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import eps_with_index
+from epsym import groups, indicator
 from epsym.cumulants import CumulantSpec, kappa_pi, moment, parse_fraction
 from epsym.epsmat import preset
 from epsym.groups import check_eps_exchangeability
+from epsym.indicator import definetti_identity_report
 from epsym.partitions import (Category, SetPartition, enumerate_partitions,
                               nc_eps_set, parse_partition)
 
@@ -294,6 +297,47 @@ def test_exchangeability_rejects_negative_max_k():
         check_eps_exchangeability(preset("ex-d"), SEMI(4), -1)
     # max_k = 0 still checks the empty word once per automorphism
     assert check_eps_exchangeability(preset("ex-d"), SEMI(4), 0).checked == 8
+
+
+# both word-loop reports share one input check, run before any work
+REPORTS = {
+    "exchangeability": check_eps_exchangeability,
+    "definetti": lambda eps, spec, max_k: definetti_identity_report(
+        eps, Category.ALL, spec, max_k),
+}
+
+
+@pytest.mark.parametrize("max_k,message", [
+    pytest.param(True, "max_k must be an integer, got True", id="True"),
+    pytest.param(2.5, "max_k must be an integer, got 2.5", id="2.5"),
+])
+@pytest.mark.parametrize("report", list(REPORTS))
+def test_reports_need_an_integer_max_k(report, max_k, message):
+    # True used to pass as max_k = 1 (checked=40 and 5 on ex-d)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        REPORTS[report](preset("ex-d"), SEMI(4), max_k)
+
+
+@pytest.mark.parametrize("report,eps,spec,max_k,message", [
+    # at max_k 8 exchangeability on ex-f used to take about 20 s
+    pytest.param("exchangeability", preset("ex-f"), SEMI(5), 9,
+                 "max_k = 9 is too large: 5**9 words exceed the limit 1000000",
+                 id="exchangeability-words-past-the-limit"),
+    pytest.param("exchangeability", preset("ex-d"), SEMI(3), 2,
+                 "cumulant table is smaller than the pattern",
+                 id="exchangeability-table-smaller-than-pattern"),
+    pytest.param("definetti", preset("ex-d"), SEMI(3), 2,
+                 "cumulant table is smaller than the pattern",
+                 id="definetti-table-smaller-than-pattern"),
+])
+def test_reports_refuse_before_any_work(monkeypatch, report, eps, spec, max_k, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+    for module, name in [(groups, "automorphism_group"), (groups, "moment"),
+                         (indicator, "run_algorithm"), (indicator, "moment")]:
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        REPORTS[report](eps, spec, max_k)
 
 
 def test_exchangeability_other_presets():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,17 @@ def test_make_epsilon_rejects_non_bits():
 def test_make_epsilon_rejects_bad_shape():
     with pytest.raises(ValueError, match="2x2"):
         make_epsilon(2, [[0, 1, 0], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("size,message", [
+    pytest.param(True, "size must be an integer, got True", id="True"),
+    pytest.param(1.0, "size must be an integer, got 1.0", id="1.0"),
+    pytest.param(0, "size must be a positive integer", id="0"),
+])
+def test_make_epsilon_size_is_a_positive_integer(size, message):
+    # a boolean size used to build n=True, written "True\n0\n" as text
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        make_epsilon(size, [[0]])
 
 
 def test_ex_d_matrix_verbatim():

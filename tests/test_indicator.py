@@ -165,6 +165,30 @@ def test_sample_below_one_is_rejected(sample, message):
                       sample=sample)
 
 
+# the base dimension of every map route is an int in 1..eps.n: True used
+# to pass as n = 1, and 2.5 or 3.0 raised a TypeError
+BASE_DIMENSION_ROUTES = {
+    "run_algorithm": lambda n: run_algorithm(parse_partition("{1,3}{2,4}"), preset("ex-f"),
+                                             Category.ALL, n),
+    "verify_oracle": lambda n: verify_oracle(parse_partition("{1,3}{2,4}"), preset("ex-f"),
+                                             Category.ALL, n),
+    "r_map": lambda n: r_map("cross1", preset("ex-f"), n),
+}
+
+
+@pytest.mark.parametrize("n,message", [
+    pytest.param(True, "base dimension must be an integer, got True", id="True"),
+    pytest.param(2.5, "base dimension must be an integer, got 2.5", id="2.5"),
+    pytest.param(3.0, "base dimension must be an integer, got 3.0", id="3.0"),
+    pytest.param(0, "base dimension must lie in 1..5", id="0"),
+    pytest.param(6, "base dimension must lie in 1..5", id="6"),
+])
+@pytest.mark.parametrize("route", list(BASE_DIMENSION_ROUTES))
+def test_base_dimension_is_an_integer_in_range(route, n, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        BASE_DIMENSION_ROUTES[route](n)
+
+
 @pytest.mark.parametrize("text,i,message", [
     ("{1,2}", (0, 0), "index entry 1 is 0, must lie in 1..4"),
     ("{1,2}", (9, 9), "index entry 1 is 9, must lie in 1..4"),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,12 @@ def test_enumeration_is_capped():
             enumerate_partitions(12, cat, noncrossing_only=True)
     with pytest.raises(ValueError, match="must be >= 0"):
         enumerate_partitions(-1)
+
+
+@pytest.mark.parametrize("k", [True, 2.5, 2.0, "3", None], ids=repr)
+def test_enumeration_needs_an_integer_k(k):
+    with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(k))}$"):
+        enumerate_partitions(k)
 
 
 # --- refinement --------------------------------------------------------------
@@ -295,6 +302,19 @@ def test_label_checks_reject_labels_outside_range(name, word):
     assert "\n" not in str(info.value)
 
 
+# the word rule: labels first, then one label per point
+@pytest.mark.parametrize("word,message", [
+    pytest.param((1,), "index length 1 != point count 2", id="(1,)"),
+    pytest.param((1, 1, 1), "index length 3 != point count 2", id="(1, 1, 1)"),
+    pytest.param((), "index length 0 != point count 2", id="()"),
+    pytest.param((1, 1, 0), "index entry 3 is 0, must lie in 1..2", id="(1, 1, 0)"),
+])
+@pytest.mark.parametrize("name", ["is_eps_noncrossing", "in_nc_eps", "in_nc_eps_one_block"])
+def test_word_checks_reject_a_length_other_than_the_point_count(name, word, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        LABEL_CHECKS[name](word)
+
+
 def test_in_nc_eps_rejects_crossing_labels_outside_range():
     with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
         in_nc_eps(P("{1,3}{2,4}"), (0, 3, 0, 3), preset("comm", 2))
@@ -436,6 +456,18 @@ def test_case2_postconditions(pi):
     swapped = pi.swap_points(l)
     assert sorted(len(x) for x in swapped.blocks) == \
         sorted(len(x) for x in pi.blocks)
+
+
+@pytest.mark.parametrize("l,message", [
+    pytest.param(0, "l must lie in 1..2", id="0"),
+    pytest.param(3, "l must lie in 1..2", id="3"),
+    pytest.param(True, "l must be an integer, got True", id="True"),
+    pytest.param(1.5, "l must be an integer, got 1.5", id="1.5"),
+])
+def test_swap_points_needs_a_leg_index(l, message):
+    # True used to swap legs 1 and 2 and store the point as True
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        P("{1,2}{3}").swap_points(l)
 
 
 # --- relabelling invariance (joint with the groups module) --------------------
