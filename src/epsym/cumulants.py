@@ -156,10 +156,9 @@ def kappa_pi(pi: SetPartition, i: Sequence[int], spec: CumulantSpec) -> int | Fr
 def _scaled_kappa(pi: SetPartition, vals: tuple[int, ...],
                   rows: tuple[tuple[int, ...], ...]) -> int:
     # d^k times kappa_pi on a checked word; a block of mixed labels is an error
-    for b in pi.blocks:
-        if any(vals[p - 1] != vals[b[0] - 1] for p in b):
-            raise ValueError(f"block {b} carries mixed coordinates; "
-                             "partition must refine the kernel")
+    if (b := pi.mixed_block(vals)) is not None:
+        raise ValueError(f"block {b} carries mixed coordinates; "
+                         "partition must refine the kernel")
     return _scaled_block_product(pi.blocks, vals, rows)
 
 

@@ -14,6 +14,7 @@ integer arguments live here, and each public entry point applies them once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 Bits = tuple[tuple[int, ...], ...]
 
@@ -101,33 +102,20 @@ _TRIVIAL6: Bits = (
     (0, 0, 1, 1, 1, 0),
 )
 
-_FIXED_PRESETS = {
-    "ex-d": _EX_D,
-    "pairs-indep": _EX_D,
-    "ex-e": _EX_E,
-    "pairs-free": _EX_E,
-    "ex-f": _EX_F,
-    "cycle5": _EX_F,
-    "trivial6": _TRIVIAL6,
-}
-
-PRESET_NAMES = ("comm", "free", "block", *_FIXED_PRESETS)
-
-
 def comm(n: int) -> EpsilonMatrix:
     """All off-diagonal entries 1: fully classical."""
-    return make_epsilon(n, tuple(tuple(0 if i == j else 1 for j in range(n))
-                                 for i in range(n)))
+    points = range(check_int("size", n))
+    return make_epsilon(n, tuple(tuple(0 if i == j else 1 for j in points) for i in points))
 
 
 def free(n: int) -> EpsilonMatrix:
     """All entries 0: fully free."""
-    return make_epsilon(n, tuple((0,) * n for _ in range(n)))
+    return make_epsilon(n, tuple((0,) * n for _ in range(check_int("size", n))))
 
 
 def block(n: int, m: int) -> EpsilonMatrix:
     """First n coordinates mutually commuting, remaining m free of everything."""
-    if n < 0 or m < 0:
+    if min(check_int("block size", n), check_int("block size", m)) < 0:
         raise ValueError(f"block sizes must be nonnegative, got {n} and {m}")
     size = n + m
     return make_epsilon(size, tuple(
@@ -135,26 +123,25 @@ def block(n: int, m: int) -> EpsilonMatrix:
         for i in range(size)))
 
 
+# every named pattern: its builder and the number of sizes it takes
+_PRESETS = {"comm": (comm, 1), "free": (free, 1), "block": (block, 2)} | {
+    name: (partial(make_epsilon, len(rows), rows), 0) for name, rows in [
+        ("ex-d", _EX_D), ("pairs-indep", _EX_D), ("ex-e", _EX_E),
+        ("pairs-free", _EX_E), ("ex-f", _EX_F), ("cycle5", _EX_F),
+        ("trivial6", _TRIVIAL6)]}
+_TAKES = ("no parameters", "one size parameter", "two size parameters")
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str, *params: int) -> EpsilonMatrix:
     """Look up a named pattern; ``comm``/``free`` take a size, ``block`` two."""
-    if name == "comm":
-        if len(params) != 1:
-            raise ValueError("preset comm takes one size parameter")
-        return comm(params[0])
-    if name == "free":
-        if len(params) != 1:
-            raise ValueError("preset free takes one size parameter")
-        return free(params[0])
-    if name == "block":
-        if len(params) != 2:
-            raise ValueError("preset block takes two size parameters")
-        return block(params[0], params[1])
-    if name in _FIXED_PRESETS:
-        if params:
-            raise ValueError(f"preset {name} takes no parameters")
-        entries = _FIXED_PRESETS[name]
-        return make_epsilon(len(entries), entries)
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    build, arity = _PRESETS[name]
+    if len(params) != arity:
+        raise ValueError(f"preset {name} takes {_TAKES[arity]}")
+    return build(*params)
 
 
 def parse_eps_text(text: str) -> EpsilonMatrix:

@@ -3,8 +3,9 @@
 Three independent views of the same pattern live here:
 
 * the subgroup of S_n preserving the pattern under conjugation (the
-  automorphism group of the associated graph), found by pruned
-  backtracking, and the check that mixed moments are invariant under it;
+  automorphism group of the associated graph), found by backtracking
+  over degree-preserving maps, with a generating set grown by cosets,
+  and the check that mixed moments are invariant under it;
 * the reflection representation on a direct sum of planes, one per
   coordinate pair, whose generators commute exactly where the pattern
   says so; a word's action multiplies only the planes each letter moves;
@@ -23,11 +24,13 @@ square-matrix product serves both the representation and the checker.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .cumulants import CumulantSpec, check_word_loop, moment, parse_fraction
@@ -43,16 +46,22 @@ RELATION_TAGS = ("orthogonal", "magic", "R_eps", "Rring_eps", "Rprime_eps",
 # ---------------------------------------------------------------------------
 # pattern automorphisms
 
-def automorphism_group(eps: EpsilonMatrix, bound: int = 9) -> "PermGroup":
+AUTOMORPHISM_LIMIT = factorial(9)  # comm(9): every pattern on nine points
+
+
+def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
     """All permutations with eps[s(k), s(l)] == eps[k, l] for all k, l.
 
-    Exhaustive backtracking with a degree pre-filter; refuses sizes
-    beyond ``bound``.
+    Backtracking sends each point only to points of its own degree, so
+    it tries at most the product over degree classes of (class size)!
+    maps; that count is refused above :data:`AUTOMORPHISM_LIMIT` before
+    any search, and a sparse pattern on more than nine points runs.
     """
     n = eps.n
-    if n > bound:
-        raise ValueError(f"size {n} exceeds the brute-force bound {bound}")
     deg = [sum(eps.row(i)) for i in range(1, n + 1)]
+    if (work := prod(map(factorial, Counter(deg).values()))) > AUTOMORPHISM_LIMIT:
+        raise ValueError(f"{work} degree-preserving maps exceed the brute-force "
+                         f"bound {AUTOMORPHISM_LIMIT}")
     image = [0] * (n + 1)  # image[p] = s(p), 1-based
     used = [False] * (n + 1)
     found: list[Permutation] = []
@@ -99,21 +108,24 @@ class PermGroup:
                     raise AssertionError(f"product {g.images}*{h.images} missing")
 
     def generators(self) -> tuple[Permutation, ...]:
-        """A generating subset, grown greedily in element order."""
+        """A generating subset, chosen greedily in element order.  The span
+        H of the earlier generators grows to <H, g> by whole right cosets
+        H·r until r·s lies in it for every representative r and generator
+        s (Dimino): one product per new element and one per (r, s) pair."""
+        identity = Permutation.identity(self.n)
         gens: list[Permutation] = []
-        span = {Permutation.identity(self.n)}
+        span = {identity}
         for g in self.elements:
             if g in span:
                 continue
             gens.append(g)
-            frontier = list(span)
-            while frontier:
-                x = frontier.pop()
-                for h in gens:
-                    for y in (x.compose(h), h.compose(x)):
-                        if y not in span:
-                            span.add(y)
-                            frontier.append(y)
+            subgroup, reps = tuple(span), [identity]
+            for r in reps:  # grows as cosets are found
+                for s in gens:
+                    x = r.compose(s)
+                    if x not in span:
+                        span.update(h.compose(x) for h in subgroup)
+                        reps.append(x)
             if len(span) == len(self.elements):
                 break
         return tuple(gens)

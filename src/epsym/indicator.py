@@ -143,11 +143,8 @@ def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> int:
     cur = validate_word(i, eps.n, trace.initial.k)
     for step in trace.steps:
         if step.case == 1:
-            seg = cur[step.p - 1:step.q]
-            for b in step.sigma.blocks:
-                v = seg[b[0] - 1]
-                if any(seg[x - 1] != v for x in b):
-                    return 0
+            if step.sigma.mixed_block(cur[step.p - 1:step.q]) is not None:
+                return 0
             cur = cur[:step.p - 1] + cur[step.q:]
         else:
             a, b = cur[step.l - 1], cur[step.l]

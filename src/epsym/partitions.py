@@ -1,8 +1,9 @@
 """Set partitions and the mixed-commutation crossing analysis.
 
 Partitions of {1..k} are kept in a canonical form (blocks sorted by their
-minimum, elements ascending inside each block) so that structural
-equality and enumeration order are stable.  Enumeration follows
+minimum, elements ascending inside each block; :meth:`SetPartition.of`
+is the one place that sorts) so that structural equality and
+enumeration order are stable.  Enumeration follows
 restricted-growth-string lexicographic order.
 
 The central predicate is pattern-aware noncrossingness: a partition may
@@ -13,9 +14,9 @@ happens at labels with pattern entry 1.  The admissible refinements of
 the kernel of ``i`` are the summation domain of the mixed
 moment-cumulant formula and the support of the indicator functional
 built in :mod:`epsym.indicator`.  The test lives in one place, behind
-:func:`is_eps_noncrossing`; :func:`in_nc_eps` adds the kernel test in
-front of it.  Each checks its word once, first, by
-:func:`epsym.epsmat.validate_word`: labels in 1..n, then one per point.
+:func:`is_eps_noncrossing`; :func:`in_nc_eps` puts the kernel test,
+:meth:`SetPartition.mixed_block`, in front of it.  Each checks its word
+once, first, by :func:`epsym.epsmat.validate_word`.
 
 Both partition lists come from one placement loop: points are placed
 left to right, a point may join only an earlier block with its own
@@ -114,11 +115,16 @@ class SetPartition:
     def is_noncrossing(self) -> bool:
         return not self.crossing_pairs
 
+    def mixed_block(self, vals: Sequence[int]) -> Optional[Block]:
+        """The first block whose points carry more than one label of
+        ``vals`` (one per point), or None when the partition refines ker vals."""
+        return next((b for b in self.blocks
+                     if any(vals[p - 1] != vals[b[0] - 1] for p in b)), None)
+
     def refines(self, other: "SetPartition") -> bool:
         if self.k != other.k:
             raise ValueError("point counts differ")
-        own = other.owner
-        return all(own[b[0] - 1] == own[p - 1] for b in self.blocks for p in b)
+        return self.mixed_block(other.owner) is None
 
     def _split(self, p: int, q: int) -> tuple[list[Block], list[Block]]:
         """The blocks inside and outside the block-closed interval p..q."""
@@ -155,8 +161,7 @@ class SetPartition:
                 return l
             return x
 
-        blocks = tuple(tuple(sorted(mv(x) for x in b)) for b in self.blocks)
-        return SetPartition(self.k, tuple(sorted(blocks, key=lambda b: b[0])))
+        return SetPartition.of(self.k, (map(mv, b) for b in self.blocks))
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -195,8 +200,7 @@ class TwoRowPartition:
         def mv(x: int) -> int:
             return l + x if x <= k else x - k
 
-        blocks = [tuple(sorted(mv(x) for x in b)) for b in self.underlying.blocks]
-        return TwoRowPartition(l, k, SetPartition.of(l + k, blocks))
+        return TwoRowPartition.of(l, k, (map(mv, b) for b in self.underlying.blocks))
 
 
 class Category(enum.Enum):
@@ -231,8 +235,7 @@ def kernel(values: Sequence[int]) -> SetPartition:
     groups: dict[int, list[int]] = {}
     for pos, v in enumerate(values, start=1):
         groups.setdefault(v, []).append(pos)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return SetPartition(len(values), tuple(blocks))
+    return SetPartition.of(len(values), groups.values())
 
 
 ENUMERATE_LIMIT = 11  # Bell(11) = 678,570 partitions; Bell(12) = 4,213,597
@@ -267,8 +270,7 @@ def in_nc_eps(pi: SetPartition, i: Sequence[int], eps: EpsilonMatrix) -> bool:
     word is checked before the kernel test, so a bad word raises even
     when it splits a block."""
     vals = validate_word(i, eps.n, pi.k)
-    return all(vals[p - 1] == vals[b[0] - 1] for b in pi.blocks for p in b) \
-        and _crossings_commute(pi, vals, eps)
+    return pi.mixed_block(vals) is None and _crossings_commute(pi, vals, eps)
 
 
 def _crossings_commute(pi: SetPartition, vals: Sequence[int], eps: EpsilonMatrix) -> bool:

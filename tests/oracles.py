@@ -9,8 +9,9 @@ by restricting every candidate interval, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
 and a quadratic lex-least selection, a word's reflection-representation
 action by a plane-by-plane product, the tensor maps as coefficient
-tables by brute force over all label pairs, and the indicator check
-vector by vector.
+tables by brute force over all label pairs, the indicator check
+vector by vector, and a group's greedy generating set by regrowing the
+whole span on both sides after every new generator.
 """
 
 from bisect import bisect_left
@@ -330,6 +331,32 @@ def naive_word_blocks(rep, word) -> tuple:
             m = mul(m, rep.gens[letter - 1][plane])
         out.append(m)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# a greedy generating set by regrowing the whole span for every generator
+
+def naive_generators(group) -> tuple:
+    """A generating subset of a permutation group, grown greedily in
+    element order; after each new generator the span is closed again
+    under left and right products with every generator so far."""
+    gens: list = []
+    span = {group.elements[0]}  # the identity sorts first
+    for g in group.elements:
+        if g in span:
+            continue
+        gens.append(g)
+        frontier = list(span)
+        while frontier:
+            x = frontier.pop()
+            for h in gens:
+                for y in (x.compose(h), h.compose(x)):
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+        if len(span) == len(group.elements):
+            break
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

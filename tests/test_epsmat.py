@@ -103,6 +103,25 @@ def test_block_rejects_negative_sizes(sizes):
         preset("block", *sizes)
 
 
+@pytest.mark.parametrize("params,message", [
+    pytest.param(("comm", 2.5), "size must be an integer, got 2.5", id="comm-2.5"),
+    pytest.param(("free", True), "size must be an integer, got True", id="free-True"),
+    pytest.param(("block", True, 0), "block size must be an integer, got True",
+                 id="block-True-0"),
+    pytest.param(("block", -1, 2.5), "block size must be an integer, got 2.5",
+                 id="block-neg-2.5"),
+    pytest.param(("comm", 0), "size must be a positive integer", id="comm-0"),
+    pytest.param(("comm",), "preset comm takes one size parameter", id="comm-arity"),
+    pytest.param(("block", 2), "preset block takes two size parameters",
+                 id="block-arity"),
+    pytest.param(("ex-d", 4), "preset ex-d takes no parameters", id="ex-d-arity"),
+])
+def test_preset_sizes_follow_the_integer_rule(params, message):
+    # comm(2.5) used to raise TypeError from range, block(True, 0) to build
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        preset(*params)
+
+
 def test_block_with_an_empty_part():
     assert preset("block", 0, 3) == preset("free", 3)
     assert preset("block", 3, 0) == preset("comm", 3)

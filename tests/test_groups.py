@@ -58,7 +58,59 @@ def test_group_bound():
     for i in range(9):
         rows[i][i + 1] = rows[i + 1][i] = 1
     path = make_epsilon(10, rows)
-    assert automorphism_group(path, bound=10).order == 2
+    assert automorphism_group(path).order == 2
+
+
+def _path(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = rows[i + 1][i] = 1
+    return make_epsilon(n, rows)
+
+
+def _cycle(n):
+    return make_epsilon(n, [[int((i - j) % n in (1, n - 1)) for j in range(n)]
+                            for i in range(n)])
+
+
+def _disjoint(eps, copies):
+    # block-diagonal copies of one pattern: no entry links two copies
+    n = eps.n
+    return make_epsilon(n * copies, [
+        [eps[i % n + 1, j % n + 1] if i // n == j // n else 0
+         for j in range(n * copies)] for i in range(n * copies)])
+
+
+def test_group_limit_counts_degree_preserving_maps():
+    # an 11-point path: 2 ends and 9 inner points give 2!*9! candidates
+    with pytest.raises(ValueError, match=r"^725760 .*brute-force bound 362880$"):
+        automorphism_group(_path(11))
+    # two copies of trivial6: three degree classes of four, 4!**3 candidates
+    twice = _disjoint(preset("trivial6"), 2)
+    assert twice.n == 12
+    group = automorphism_group(twice)
+    assert group.order == 2
+    group.validate()
+    # a 9-cycle sits at the limit (9! candidates), a 10-cycle above it
+    assert automorphism_group(_cycle(9)).order == 18
+    with pytest.raises(ValueError, match="bound"):
+        automorphism_group(_cycle(10))
+
+
+GENERATOR_PATTERNS = {
+    **{name: preset(name) for name in
+       ("ex-d", "pairs-indep", "ex-e", "pairs-free", "ex-f", "cycle5", "trivial6")},
+    **{f"{name}{n}": preset(name, n) for name in ("comm", "free") for n in range(1, 7)},
+    **{f"block-{a}-{b}": preset("block", a, b)
+       for a in range(7) for b in range(7) if 1 <= a + b <= 6},
+    "path10": _path(10),
+}
+
+
+@pytest.mark.parametrize("eps", GENERATOR_PATTERNS.values(), ids=GENERATOR_PATTERNS)
+def test_generators_match_the_regrowth_oracle(eps):
+    group = automorphism_group(eps)
+    assert group.generators() == oracles.naive_generators(group)
 
 
 def test_generators_generate():

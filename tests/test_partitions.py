@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -137,6 +138,18 @@ def test_refinement_examples():
 def test_refinement_is_reflexive(k):
     for pi in enumerate_partitions(k):
         assert pi.refines(pi)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_mixed_block_matches_the_literal_label_test(k):
+    # every partition of k points, by point insertion, against every word
+    # over three labels: the first block with more than one label, or None
+    parts = [SetPartition.of(k, part) for part in oracles.insertion_partitions(k)]
+    for i in itertools.product(range(1, 4), repeat=k):
+        for pi in parts:
+            want = next((b for b in pi.blocks if len({i[p - 1] for p in b}) > 1), None)
+            assert pi.mixed_block(i) == want, (pi, i)
+            assert pi.refines(kernel(i)) == (want is None)
 
 
 # --- the pattern-aware crossing predicate ------------------------------------
