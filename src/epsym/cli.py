@@ -1,7 +1,9 @@
 """Command-line front end.  One verb per library capability.
 
-Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or input error.
+Each verb returns its exit code, a builder for its JSON and its text
+lines; only :func:`main` prints one of the two, so a form is built only
+when it is printed.  Exit codes: 0 success / verification passed,
+1 verification failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .cumulants import CumulantSpec, moment
 from .epsmat import (EpsilonMatrix, Permutation, format_eps_text, parse_eps_text,
@@ -23,10 +26,6 @@ from .partitions import (Category, enumerate_partitions, format_partition,
                          nc_eps_set, parse_partition)
 from .report import CheckResult, SuiteReport
 from .tensormaps import box_calculus_suite, intertwiner_identity_suite
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _add_eps_args(p: argparse.ArgumentParser, n_is_dim: bool = False) -> None:
@@ -77,104 +76,72 @@ def _load_kappa(args, eps: EpsilonMatrix) -> CumulantSpec:
     raise ValueError("--kappa must be 'semicircle' or 'file:PATH'")
 
 
-def _print_report(report, as_json: bool) -> int:
-    """Print a CheckReport or a SuiteReport; exit code 1 unless it passed."""
-    if as_json:
-        _emit_json(report.to_json())
-    else:
-        for line in report.lines():
-            print(line)
-    return 0 if report.passed else 1
+def _report(report):
+    """A CheckReport or SuiteReport as a verb's result; exit code 1 unless it passed."""
+    return 0 if report.passed else 1, report.to_json, report.lines()
 
 
-def _cmd_show_eps(args) -> int:
+def _cmd_show_eps(args):
     eps = _load_eps(args)
-    if args.json:
-        _emit_json(eps.to_json())
-    else:
-        print(format_eps_text(eps), end="")
-    return 0
+    return 0, eps.to_json, format_eps_text(eps).splitlines()
 
 
-def _print_partitions(parts, as_json: bool) -> int:
-    if as_json:
-        _emit_json([p.to_json() for p in parts])
-    else:
-        for p in parts:
-            print(format_partition(p))
-        print(f"total: {len(parts)}")
-    return 0
+def _partitions(parts):
+    return 0, lambda: [p.to_json() for p in parts], \
+        chain(map(format_partition, parts), (f"total: {len(parts)}",))
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     cat = Category.parse(args.cat)
-    return _print_partitions(
-        enumerate_partitions(args.k, cat, noncrossing_only=args.noncrossing), args.json)
+    return _partitions(enumerate_partitions(args.k, cat, noncrossing_only=args.noncrossing))
 
 
-def _cmd_ncset(args) -> int:
+def _cmd_ncset(args):
     eps = _load_eps(args)
     i = _parse_csv_ints(args.index)
-    return _print_partitions(nc_eps_set(i, eps, Category.parse(args.cat)), args.json)
+    return _partitions(nc_eps_set(i, eps, Category.parse(args.cat)))
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args):
     eps = _load_eps(args)
     spec = _load_kappa(args, eps)
     i = _parse_csv_ints(args.index)
     value = moment(i, eps, spec, Category.parse(args.cat))
-    if args.json:
-        _emit_json({"index": list(i), "moment": str(value)})
-    else:
-        print(value)
-    return 0
+    return 0, lambda: {"index": list(i), "moment": str(value)}, (str(value),)
 
 
-def _cmd_exchangeability(args) -> int:
+def _cmd_exchangeability(args):
     eps = _load_eps(args)
     spec = _load_kappa(args, eps)
-    return _print_report(check_eps_exchangeability(eps, spec, args.max_k), args.json)
+    return _report(check_eps_exchangeability(eps, spec, args.max_k))
 
 
-def _cmd_tneps(args) -> int:
-    eps = _load_eps(args)
-    group = automorphism_group(eps)
-    if args.json:
-        _emit_json(group.to_json())
-    else:
-        print(f"order: {group.order}")
-        for g in group.elements:
-            print(",".join(str(v) for v in g.images))
-    return 0
+def _cmd_tneps(args):
+    group = automorphism_group(_load_eps(args))
+    return 0, group.to_json, chain((f"order: {group.order}",),
+                                   (",".join(map(str, g.images)) for g in group.elements))
 
 
-def _cmd_coxeter_check(args) -> int:
-    return _print_report(check_coxeter_rep(_load_eps(args)), args.json)
+def _cmd_coxeter_check(args):
+    return _report(check_coxeter_rep(_load_eps(args)))
 
 
-def _cmd_word(args) -> int:
+def _cmd_word(args):
     eps = _load_eps(args)
     w1 = _parse_csv_ints(args.word)
     nf1 = word_reduce(w1, eps)
     if args.word2 is None:
-        if args.json:
-            _emit_json({"word": list(w1), "normal_form": list(nf1)})
-        else:
-            print(",".join(str(x) for x in nf1) if nf1 else "(empty)")
-        return 0
+        return 0, lambda: {"word": list(w1), "normal_form": list(nf1)}, \
+            (",".join(map(str, nf1)) if nf1 else "(empty)",)
     w2 = _parse_csv_ints(args.word2)
     nf2 = word_reduce(w2, eps)
     equal = nf1 == nf2
-    if args.json:
-        _emit_json({"word": list(w1), "word2": list(w2),
-                    "normal_form": list(nf1), "normal_form2": list(nf2),
-                    "equal": equal})
-    else:
-        print("EQUAL" if equal else "DIFFERENT")
-    return 0
+    return 0, lambda: {"word": list(w1), "word2": list(w2), "normal_form": list(nf1),
+                       "normal_form2": list(nf2), "equal": equal}, \
+        ("EQUAL" if equal else "DIFFERENT",)
 
 
-def _cmd_rep_check(args) -> int:
+def _cmd_rep_check(args):
     eps = _load_eps(args)
     if args.rep == "projection-pair":
         u = projection_pair_representation()
@@ -184,44 +151,39 @@ def _cmd_rep_check(args) -> int:
     else:
         raise ValueError("--rep must be 'projection-pair' or 'perm:IMAGES'")
     tags = [t.strip() for t in args.relations.split(",") if t.strip()]
-    code = _print_report(rep_check(u, eps, tags), args.json)
-    if args.witness and not args.json:
+    code, as_json, lines = _report(rep_check(u, eps, tags))
+    if args.witness:
         c = entries_commute(u, 1, 1, 3, 3)
-        print(f"u[1,1] and u[3,3] {'commute' if c else 'do not commute'}")
-    return code
+        lines.append(f"u[1,1] and u[3,3] {'commute' if c else 'do not commute'}")
+    return code, as_json, lines
 
 
-def _cmd_intertwiner_suite(args) -> int:
+def _cmd_intertwiner_suite(args):
     eps = _load_eps(args)
-    first = intertwiner_identity_suite(eps)
-    second = box_calculus_suite(eps)
-    if args.json:
-        _emit_json({"identities": first.to_json(), "products": second.to_json()})
-        return 0 if first.passed and second.passed else 1
-    return _print_report(SuiteReport(first.checks + second.checks), False)
+    first, second = intertwiner_identity_suite(eps), box_calculus_suite(eps)
+    code, _, lines = _report(SuiteReport(first.checks + second.checks))
+    return code, lambda: {"identities": first.to_json(), "products": second.to_json()}, lines
 
 
-def _cmd_mpi_run(args) -> int:
+def _trace_lines(pi, trace):
+    yield f"initial: {format_partition(pi) or '(empty)'}"
+    for idx, st in enumerate(trace.steps):
+        move = (f"remove {format_partition(st.sigma)} at {st.p}..{st.q}" if st.case == 1
+                else f"swap legs {st.l},{st.l + 1}")
+        yield (f"step {idx}: case {st.case}: {move} -> "
+               f"{format_partition(st.result) or '(empty)'} [{st.points} points]")
+    yield f"steps: {len(trace.steps)}"
+
+
+def _cmd_mpi_run(args):
     eps = _load_eps(args)
     pi = parse_partition(args.partition)
     dim = args.n if args.n is not None else eps.n
     trace, _ = run_algorithm(pi, eps, Category.parse(args.cat), dim)
-    if args.json:
-        _emit_json(trace.to_json())
-    else:
-        print(f"initial: {format_partition(pi) or '(empty)'}")
-        for idx, st in enumerate(trace.steps):
-            if st.case == 1:
-                move = f"remove {format_partition(st.sigma)} at {st.p}..{st.q}"
-            else:
-                move = f"swap legs {st.l},{st.l + 1}"
-            print(f"step {idx}: case {st.case}: {move} -> "
-                  f"{format_partition(st.result) or '(empty)'} [{st.points} points]")
-        print(f"steps: {len(trace.steps)}")
-    return 0
+    return 0, trace.to_json, _trace_lines(pi, trace)
 
 
-def _cmd_mpi_verify(args) -> int:
+def _cmd_mpi_verify(args):
     eps = _load_eps(args)
     cat = Category.parse(args.cat)
     dim = args.n if args.n is not None else eps.n
@@ -237,19 +199,16 @@ def _cmd_mpi_verify(args) -> int:
         report = verify_oracle(pi, eps, cat, dim, sample=args.sample)
         total += report.checked
         if not report.passed:
-            return _print_report(report, args.json)
-    if args.json:
-        _emit_json({"passed": True, "checked": total, "partitions": len(pis)})
-    else:
-        print(f"PASS ({len(pis)} partitions, {total} basis vectors)")
-    return 0
+            return _report(report)
+    return 0, lambda: {"passed": True, "checked": total, "partitions": len(pis)}, \
+        (f"PASS ({len(pis)} partitions, {total} basis vectors)",)
 
 
-def _cmd_definetti(args) -> int:
+def _cmd_definetti(args):
     eps = _load_eps(args)
     spec = _load_kappa(args, eps)
-    report = definetti_identity_report(eps, Category.parse(args.cat), spec, args.max_k)
-    return _print_report(report, args.json)
+    return _report(definetti_identity_report(eps, Category.parse(args.cat), spec,
+                                             args.max_k))
 
 
 def _order(*pattern) -> int:
@@ -303,15 +262,12 @@ _PAPER_EXAMPLES = (
 )
 
 
-def _cmd_paper_examples(args) -> int:
+def _cmd_paper_examples(args):
     suite = SuiteReport(tuple(CheckResult(label, bool(check()))
                               for label, check in _PAPER_EXAMPLES))
-    if args.json:
-        _emit_json(suite.to_json()["checks"])
-    else:
-        _print_report(suite, False)
-        print(f"{sum(c.passed for c in suite.checks)}/{len(suite.checks)} passed")
-    return 0 if suite.passed else 1
+    code, _, lines = _report(suite)
+    return code, lambda: suite.to_json()["checks"], \
+        lines + [f"{sum(c.passed for c in suite.checks)}/{len(suite.checks)} passed"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,8 +359,13 @@ def main(argv=None) -> int:
             print(f"error: --{name.replace('_', '-')} needs a value, got '--'",
                   file=sys.stderr)
             return 2
-    try:
-        return args.fn(args)
+    try:  # a verb returns (exit code, JSON builder, text lines); only this prints
+        code, as_json, lines = args.fn(args)
+        if args.json:
+            print(json.dumps(as_json(), indent=2, sort_keys=True))
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ Three independent views of the same pattern live here:
 
 * the subgroup of S_n preserving the pattern under conjugation (the
   automorphism group of the associated graph), found by backtracking
-  over degree-preserving maps, with a generating set grown by cosets,
-  and the check that mixed moments are invariant under it;
+  over the maps that keep each point's refined colour, with a generating
+  set grown by cosets, and the check that mixed moments are invariant
+  under it;
 * the reflection representation on a direct sum of planes, one per
   coordinate pair, whose generators commute exactly where the pattern
   says so; a word's action multiplies only the planes each letter moves;
@@ -34,7 +35,7 @@ from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .cumulants import CumulantSpec, check_word_loop, moment, parse_fraction
-from .epsmat import EpsilonMatrix, Permutation, validate_index
+from .epsmat import EpsilonMatrix, Permutation, check_in_range, validate_index
 from .report import CheckReport, CheckResult, SuiteReport
 
 Mat = tuple[tuple[int | Fraction, ...], ...]
@@ -47,20 +48,32 @@ RELATION_TAGS = ("orthogonal", "magic", "R_eps", "Rring_eps", "Rprime_eps",
 # pattern automorphisms
 
 AUTOMORPHISM_LIMIT = factorial(9)  # comm(9): every pattern on nine points
+EXCHANGEABILITY_LIMIT = 10 ** 7  # ex-f at max_k 8: 10 x 488,281 comparisons
 
 
 def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
     """All permutations with eps[s(k), s(l)] == eps[k, l] for all k, l.
 
-    Backtracking sends each point only to points of its own degree, so
-    it tries at most the product over degree classes of (class size)!
-    maps; that count is refused above :data:`AUTOMORPHISM_LIMIT` before
-    any search, and a sparse pattern on more than nine points runs.
+    Colour refinement starts from the degrees and recolours each point by
+    its colour and the multiset of its neighbours' colours until no class
+    splits; every automorphism keeps these colours.  Backtracking sends
+    each point only to points of its own colour, so it tries at most the
+    product over colour classes of (class size)! maps; that count is
+    refused above :data:`AUTOMORPHISM_LIMIT` before any search, and a
+    sparse pattern on more than nine points, such as a path, runs.
     """
     n = eps.n
-    deg = [sum(eps.row(i)) for i in range(1, n + 1)]
-    if (work := prod(map(factorial, Counter(deg).values()))) > AUTOMORPHISM_LIMIT:
-        raise ValueError(f"{work} degree-preserving maps exceed the brute-force "
+    rng = range(1, n + 1)
+    colour = [0] + [sum(eps.row(i)) for i in rng]  # 1-based like the points
+    while True:
+        keys = [(colour[i], tuple(sorted(colour[j] for j in rng if eps[i, j] == 1)))
+                for i in rng]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        if len(rank) == len(set(colour[1:])):
+            break
+        colour = [0] + [rank[key] for key in keys]
+    if (work := prod(map(factorial, Counter(colour[1:]).values()))) > AUTOMORPHISM_LIMIT:
+        raise ValueError(f"{work} colour-preserving maps exceed the brute-force "
                          f"bound {AUTOMORPHISM_LIMIT}")
     image = [0] * (n + 1)  # image[p] = s(p), 1-based
     used = [False] * (n + 1)
@@ -71,7 +84,7 @@ def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
             found.append(Permutation(n, tuple(image[1:])))
             return
         for w in range(1, n + 1):
-            if used[w] or deg[w - 1] != deg[p - 1]:
+            if used[w] or colour[w] != colour[p]:
                 continue
             if any(eps[p, u] != eps[w, image[u]] for u in range(1, p)):
                 continue
@@ -143,11 +156,17 @@ def check_eps_exchangeability(eps: EpsilonMatrix, spec: CumulantSpec,
     Verifies moment(i) == moment(s o i) for all automorphisms s and all
     words of length up to ``max_k``.  The cumulant rows must be
     identical, matching the identically-distributed hypothesis; the
-    inputs are checked by :func:`epsym.cumulants.check_word_loop`.
+    inputs are checked by :func:`epsym.cumulants.check_word_loop`.  The
+    |G| * sum_k n**k comparisons are refused above
+    :data:`EXCHANGEABILITY_LIMIT` before any moment is computed.
     """
     check_word_loop(eps, spec, max_k)
     n = eps.n
     group = automorphism_group(eps)
+    words = sum(n ** k for k in range(max_k + 1))
+    if (work := group.order * words) > EXCHANGEABILITY_LIMIT:
+        raise ValueError(f"{work} comparisons ({group.order} automorphisms x {words} "
+                         f"words) exceed the limit {EXCHANGEABILITY_LIMIT}")
     checked = 0
     for k in range(max_k + 1):
         table = {i: moment(i, eps, spec) for i in product(range(1, n + 1), repeat=k)}
@@ -169,6 +188,8 @@ def permutation_satisfies_R_eps(sigma: Permutation, eps: EpsilonMatrix) -> bool:
     vacuous for scalars; the two exchange families are checked literally
     as delta identities.
     """
+    if sigma.n != eps.n:
+        raise ValueError("permutation size differs from pattern size")
     n = eps.n
 
     def a(p: int, q: int) -> int:
@@ -368,6 +389,9 @@ class Representation:
         return cls(n, d, rows)
 
     def entry(self, i: int, j: int) -> Mat:
+        """The block u[i,j]; both indices must lie in 1..n."""
+        check_in_range("row index", i, 1, self.n)
+        check_in_range("column index", j, 1, self.n)
         return self.blocks[i - 1][j - 1]
 
     @cached_property
@@ -427,8 +451,11 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
     """
     if u.n != eps.n:
         raise ValueError("matrix size differs from pattern size")
-    n, I, Z, e = u.n, u._id, u._zero, u.entry
+    n, I, Z, rows = u.n, u._id, u._zero, u.blocks
     rng = range(1, n + 1)
+
+    def e(i: int, j: int) -> Mat:  # the loops' indices lie in 1..n
+        return rows[i - 1][j - 1]
 
     def total(blocks) -> Mat:
         return reduce(_madd, blocks, Z)
@@ -519,6 +546,7 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
 
 
 def entries_commute(u: Representation, i: int, k: int, j: int, l: int) -> bool:
-    """Do u[i,k] and u[j,l] commute?  Handy for noncommutativity witnesses."""
+    """Do u[i,k] and u[j,l] commute?  Handy for noncommutativity witnesses.
+    Every index must lie in 1..n."""
     a, b = u.entry(i, k), u.entry(j, l)
     return _mmul(a, b) == _mmul(b, a)

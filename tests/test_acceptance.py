@@ -26,7 +26,7 @@ from epsym.groups import (automorphism_group, check_coxeter_rep,
 from epsym.indicator import (definetti_identity_report, run_algorithm,
                              verify_oracle)
 from epsym.partitions import (Category, SetPartition, enumerate_partitions,
-                              in_nc_eps, parse_partition)
+                              parse_partition)
 from epsym.tensormaps import box_calculus_suite, intertwiner_identity_suite
 
 FIGURE = parse_partition("{1,7,15}{2,5}{3,4}{6,10,16}{8,9}{11,13}{12,14}")
@@ -51,7 +51,6 @@ def test_criterion_01_indicator_oracle_equivalence():
     checked = 0
     try:
         for k in range(7):
-            words = list(product(range(1, n + 1), repeat=k))
             for pi in enumerate_partitions(k):
                 cats = [c for c in CATS if c.contains(pi)]
                 for name, eps in eps_list:
@@ -61,11 +60,10 @@ def test_criterion_01_indicator_oracle_equivalence():
                             assert cat.contains(st.result), (name, cat, pi)
                             if st.case == 1:
                                 assert cat.contains(st.sigma), (name, cat, pi)
-                    for i in words:
-                        want = Fraction(1 if in_nc_eps(pi, i, eps) else 0)
-                        got = mp.scalar_at(i, ())
-                        assert got == want, (name, str(pi), i, got, want)
-                        checked += 1
+                    # every one of the n**k vectors against the independent membership
+                    passed, count, counterexample = oracles.naive_verify_oracle(pi, eps, n, mp)
+                    assert passed, (name, counterexample)
+                    checked += count
         ok, detail = True, f"{checked} map values, {time.time() - t0:.0f}s"
     except AssertionError as exc:
         ok, detail = False, str(exc.args[0] if exc.args else exc)

@@ -186,6 +186,16 @@ def test_rep_check_verb(capsys):
     assert "do not commute" in out
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_rep_check_witness_outside_the_matrix_exits_2(capsys, as_json):
+    # the witness reads u[3,3], which a 2x2 matrix lacks; the report used to
+    # print first and a traceback follow, and --json ignored the witness
+    code, out, err = run_cli(capsys, "rep-check", "--preset", "comm", "--n", "2",
+                             "--rep", "perm:2,1", "--relations", "magic", "--witness",
+                             *(["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", "error: row index must lie in 1..2\n")
+
+
 def test_intertwiner_suite_verb(capsys):
     code, out, _ = run_cli(capsys, "intertwiner-suite", "--preset", "ex-f")
     assert code == 0
@@ -281,6 +291,8 @@ def test_usage_errors_exit_2(capsys):
     ["definetti", "--preset", "ex-f", "--max-k", "9"],
     # the same limit on words, refused before the automorphism group is listed
     ["exchangeability", "--preset", "ex-f", "--max-k", "9"],
+    # 120 automorphisms x 488,281 words exceed the comparison limit
+    ["exchangeability", "--preset", "comm", "--n", "5", "--max-k", "8"],
     ["show-eps", "--preset", "block", "--n", "-1", "--m", "3"],
     # a size option the pattern does not take
     ["show-eps", "--preset", "ex-d", "--n", "7", "--m", "2"],
@@ -291,7 +303,8 @@ def test_usage_errors_exit_2(capsys):
 ], ids=["sample-negative", "sample-zero-json", "partitions-k12", "partitions-k12-pair-nc",
         "mpi-verify-k12", "sample-zero-empty-family", "exchangeability-max-k-negative",
         "definetti-max-k-negative", "definetti-max-k-large",
-        "exchangeability-max-k-large", "block-size-negative",
+        "exchangeability-max-k-large", "exchangeability-comparisons",
+        "block-size-negative",
         "fixed-preset-sizes", "fixed-preset-m", "comm-given-m", "free-given-m",
         "mpi-fixed-preset-size"])
 def test_out_of_range_work_exits_2(capsys, argv):

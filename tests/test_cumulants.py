@@ -299,6 +299,20 @@ def test_exchangeability_rejects_negative_max_k():
     assert check_eps_exchangeability(preset("ex-d"), SEMI(4), 0).checked == 8
 
 
+def test_exchangeability_caps_its_comparisons(monkeypatch):
+    # |G| * sum_k n**k comparisons, counted once the group is listed and
+    # before any moment; comm(9) at max_k 6 would need about 2.2e11
+    def no_work(*args, **kwargs):
+        raise AssertionError("a moment was computed")
+    monkeypatch.setattr(groups, "moment", no_work)
+    message = "58593720 comparisons (120 automorphisms x 488281 words) exceed the limit 10000000"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        check_eps_exchangeability(preset("comm", 5), SEMI(5), 8)
+    # ex-f at max_k 8 (10 x 488,281) stays within the limit and starts work
+    with pytest.raises(AssertionError, match="a moment was computed"):
+        check_eps_exchangeability(preset("ex-f"), SEMI(5), 8)
+
+
 # both word-loop reports share one input check, run before any work
 REPORTS = {
     "exchangeability": check_eps_exchangeability,

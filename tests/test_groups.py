@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -82,9 +83,9 @@ def _disjoint(eps, copies):
 
 
 def test_group_limit_counts_degree_preserving_maps():
-    # an 11-point path: 2 ends and 9 inner points give 2!*9! candidates
-    with pytest.raises(ValueError, match=r"^725760 .*brute-force bound 362880$"):
-        automorphism_group(_path(11))
+    # an 11-point path: refined by neighbours, five pairs and the middle
+    # point give 2**5 candidates, not the 2!*9! of its degree classes
+    assert automorphism_group(_path(11)).order == 2
     # two copies of trivial6: three degree classes of four, 4!**3 candidates
     twice = _disjoint(preset("trivial6"), 2)
     assert twice.n == 12
@@ -95,6 +96,47 @@ def test_group_limit_counts_degree_preserving_maps():
     assert automorphism_group(_cycle(9)).order == 18
     with pytest.raises(ValueError, match="bound"):
         automorphism_group(_cycle(10))
+
+
+def test_group_limit_counts_refined_classes():
+    group = automorphism_group(_path(12))  # six pairs: 2**6 candidates
+    assert group.order == 2
+    group.validate()
+    # a 20-point path comes under the limit only once refinement has split
+    # off seven pairs (2**7 * 6! candidates); fully refined it has 2**10
+    assert automorphism_group(_path(20)).order == 2
+    # a regular pattern does not refine: the 10-cycle keeps one class of ten
+    with pytest.raises(ValueError, match=r"^3628800 .*brute-force bound 362880$"):
+        automorphism_group(_cycle(10))
+
+
+def _preserving(eps):
+    """Every permutation that keeps the pattern, by trying all of them."""
+    points = range(1, eps.n + 1)
+    return [images for images in permutations(points)
+            if all(eps[images[i - 1], images[j - 1]] == eps[i, j]
+                   for i in points for j in points)]
+
+
+def test_refined_search_finds_every_automorphism():
+    # every pattern on at most five points, then random seven-point ones
+    patterns = []
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(pairs)):
+            patterns.append(make_epsilon(n, [
+                [int(i != j and mask >> pairs.index((min(i, j), max(i, j))) & 1)
+                 for j in range(n)] for i in range(n)]))
+    rng = random.Random(7)
+    for _ in range(12):
+        rows = [[0] * 7 for _ in range(7)]
+        for i in range(7):
+            for j in range(i + 1, 7):
+                rows[i][j] = rows[j][i] = int(rng.random() < 0.3)
+        patterns.append(make_epsilon(7, rows))
+    for eps in patterns:
+        got = [g.images for g in automorphism_group(eps).elements]
+        assert got == _preserving(eps), eps.entries
 
 
 GENERATOR_PATTERNS = {
@@ -439,6 +481,29 @@ def test_rep_check_unknown_tag():
 def test_rep_check_size_mismatch():
     with pytest.raises(ValueError, match="size"):
         rep_check(projection_pair_representation(), preset("free", 3), ["magic"])
+
+
+@pytest.mark.parametrize("i,j,message", [
+    (0, 0, "row index must lie in 1..4"), (5, 1, "row index must lie in 1..4"),
+    (1, -1, "column index must lie in 1..4"), (1, 5, "column index must lie in 1..4"),
+    (True, 1, "row index must be an integer, got True"),
+])
+def test_entry_indices_are_checked(i, j, message):
+    # a negative index used to read a block from the far end: u[0,0] was u[4,4]
+    u = projection_pair_representation()
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        u.entry(i, j)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        entries_commute(u, 1, 1, i, j)
+    assert u.entry(4, 4) == u.blocks[3][3]
+
+
+@pytest.mark.parametrize("images", [(2, 1, 3, 4, 5), (1, 2, 3)], ids=["5-on-4", "3-on-4"])
+def test_relation_route_needs_the_pattern_size(images):
+    # a 5-point permutation used to pass after only a 4x4 corner was checked,
+    # and a 3-point one raised IndexError
+    with pytest.raises(ValueError, match=r"^permutation size differs from pattern size$"):
+        permutation_satisfies_R_eps(Permutation(len(images), images), preset("ex-d"))
 
 
 def test_representation_rejects_empty_input():
