@@ -18,7 +18,8 @@ legs, so the composition applies each step's core to that window of the
 running map's outputs (``TensorMap.on_legs``) instead of padding it with
 identities, from the scalar end: adjoint cores in reverse step order, so
 every intermediate map is a transposed indicator of at most n^{#blocks}
-entries.
+entries.  Each distinct core is built once per trace: a trace repeats
+the gated swap and often a removed sigma.
 
 The oracle check decides all n^k basis vectors without visiting them:
 the indicator's support is the set of labellings of the partition's
@@ -102,7 +103,7 @@ def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
         if found is not None:
             sigma, p, q = found
             cur = cur.remove_interval(p, q)
-            steps.append(Step(1, cur, cur.k, p=p, q=q, sigma=sigma))
+            steps.append(Step(1, cur, cur.k, p, q, sigma))
             continue
         l = find_case2_index(cur)
         if l is None:
@@ -119,18 +120,18 @@ def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
 
     Composes the adjoint from the end: each step's adjoint core (the
     spreading map of ``sigma`` into legs p..q, or the self-adjoint gated
-    swap on legs l, l+1), in reverse step order, then transposes."""
+    swap on legs l, l+1), in reverse step order, then transposes.  Each
+    distinct core is built once per trace."""
     end = trace.steps[-1].points if trace.steps else trace.initial.k
     composed = TensorMap.identity(n, end)
-    swap = None  # the gated swap, built at the first swap step
+    cores: dict[Optional[SetPartition], TensorMap] = {}  # sigma, or None: the swap
     for step in reversed(trace.steps):
-        if step.case == 1:
-            core = t_pi(TwoRowPartition(0, step.sigma.k, step.sigma), n)
-            composed = core.on_legs(step.p - 1, composed)
-        else:
-            if swap is None:
-                swap = r_map("cross1", trace.eps, n)
-            composed = swap.on_legs(step.l - 1, composed)
+        sigma = step.sigma
+        core = cores.get(sigma)
+        if core is None:
+            core = cores[sigma] = r_map("cross1", trace.eps, n) if sigma is None \
+                else t_pi(TwoRowPartition(0, sigma.k, sigma), n)
+        composed = core.on_legs((step.l if sigma is None else step.p) - 1, composed)
     return composed.adjoint()
 
 
@@ -139,8 +140,12 @@ def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> int:
     materialising anything.  Every step sends a basis vector to at most
     one basis vector with coefficient 1, so a single walk suffices.
     The labels must lie in 1..n of the trace's pattern, one per point."""
+    return _walk(trace, validate_word(i, trace.eps.n, trace.initial.k))
+
+
+def _walk(trace: AlgorithmTrace, cur: tuple[int, ...]) -> int:
+    # evaluate_trace on a word already known to fit the trace
     eps = trace.eps
-    cur = validate_word(i, eps.n, trace.initial.k)
     for step in trace.steps:
         if step.case == 1:
             if step.sigma.mixed_block(cur[step.p - 1:step.q]) is not None:
@@ -249,7 +254,7 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
     rng = random.Random(0)
     for checked in range(1, sample + 1):
         i = tuple(rng.randint(1, n) for _ in range(k))
-        got = mp.scalar_at(i, ()) if mp is not None else evaluate_trace(trace, i)
+        got = mp.scalar_at(i, ()) if mp is not None else _walk(trace, i)
         want = 1 if in_nc_eps(pi, i, eps) else 0
         if got != want:
             return _mismatch(pi, i, checked, got, want)

@@ -35,15 +35,29 @@ partitions, reads the full list :attr:`SetPartition.crossing_pairs`.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .epsmat import (EpsilonMatrix, check_in_range, check_int, validate_index,
                      validate_word)
 
 Block = tuple[int, ...]
+
+
+class _memo:
+    """``functools.cached_property`` without the lock that it takes on
+    every first read before Python 3.12: the first read stores the value
+    in the instance ``__dict__``, where later reads find it first."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,7 @@ class SetPartition:
             raise ValueError(f"points {missing} not covered")
         return cls(k, canon)
 
-    @cached_property
+    @_memo
     def owner(self) -> tuple[int, ...]:
         """For each point (0-based slot), the index of its block."""
         own = [0] * self.k
@@ -84,34 +98,37 @@ class SetPartition:
     def block_containing(self, p: int) -> Block:
         return self.blocks[self.owner[p - 1]]
 
-    @cached_property
+    @_memo
     def crossing_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All point pairs (p1, q1) that open a crossing.
+        """All point pairs (p1, q1) that open a crossing, sorted.
 
         (p1, q1) is listed when p1 < q1 lie in distinct blocks A and B
         and the crossing completes, i.e. A returns between q1 and the
         last point of B.  A partition is noncrossing exactly when this
         list is empty, and it is admissible for a word exactly when all
-        listed pairs carry pattern entry 1.
+        listed pairs carry pattern entry 1.  Each pair arises once, from
+        its two blocks and q1; blocks whose spans are disjoint, or one of
+        which lies in a gap of the other, are skipped.
         """
         pairs: list[tuple[int, int]] = []
         bs = self.blocks
         for ai, a in enumerate(bs):
-            for bi, b in enumerate(bs):
-                if ai == bi:
-                    continue
-                bmax = b[-1]
-                for q1 in b:
-                    lo = bisect_right(a, q1)
-                    if lo < len(a) and a[lo] < bmax:
-                        # crossing completes; every earlier point of A opens it
-                        for p1 in a:
-                            if p1 >= q1:
-                                break
-                            pairs.append((p1, q1))
-        return tuple(sorted(set(pairs)))
+            for b in bs[ai + 1:]:
+                if b[0] > a[-1]:
+                    break  # b and every later block start after a ends
+                if a[bisect_right(a, b[0])] > b[-1]:
+                    continue  # b lies in one gap of a
+                for opener, other in ((a, b), (b, a)):
+                    last = other[-1]
+                    for q1 in other:
+                        lo = bisect_right(opener, q1)
+                        if lo < len(opener) and opener[lo] < last:
+                            # the crossing completes; every earlier opener point opens it
+                            pairs += [(p1, q1) for p1 in opener[:lo]]
+        pairs.sort()
+        return tuple(pairs)
 
-    @cached_property
+    @property
     def is_noncrossing(self) -> bool:
         return not self.crossing_pairs
 
@@ -132,7 +149,7 @@ class SetPartition:
         for b in self.blocks:
             if b[0] >= p and b[-1] <= q:
                 inside.append(b)
-            elif any(p <= x <= q for x in b):
+            elif (i := bisect_left(b, p)) < len(b) and b[i] <= q:
                 raise ValueError(f"block {b} crosses the interval {p}..{q}")
             else:
                 outside.append(b)
@@ -140,8 +157,7 @@ class SetPartition:
 
     def restrict(self, p: int, q: int) -> "SetPartition":
         """Restriction to the block-closed interval p..q, relabelled to 1..(q-p+1)."""
-        inside, _ = self._split(p, q)
-        return SetPartition(q - p + 1, tuple(tuple(x - p + 1 for x in b) for b in inside))
+        return _relabelled(p, q, self._split(p, q)[0])
 
     def remove_interval(self, p: int, q: int) -> "SetPartition":
         """Drop a block-closed interval p..q and relabel the remainder."""
@@ -326,6 +342,12 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     return [SetPartition(k, blocks) for blocks in states]
 
 
+def _relabelled(p: int, q: int, inside: Iterable[Block]) -> SetPartition:
+    """The blocks ``inside`` the block-closed interval p..q, relabelled
+    to 1..(q-p+1)."""
+    return SetPartition(q - p + 1, tuple(tuple(x - p + 1 for x in b) for b in inside))
+
+
 def find_noncrossing_subpartition(
         pi: SetPartition) -> Optional[tuple[SetPartition, int, int]]:
     """Block-closed interval p..q whose restriction is noncrossing.
@@ -336,30 +358,36 @@ def find_noncrossing_subpartition(
     noncrossing.  Returns (sigma, p, q) with sigma relabelled to
     1..(q-p+1), or None if nothing qualifies.
 
-    A block-closed interval holds both blocks of every crossing or
-    neither, so its restriction is noncrossing exactly when no crossing
-    opens (first point of a :attr:`SetPartition.crossing_pairs` entry)
-    at a point of p..q; only the interval returned is restricted.
+    A block-closed interval opens at a block's first point and holds
+    both blocks of every crossing or neither, so its restriction is
+    noncrossing exactly when no crossing opens (first point of a
+    :attr:`SetPartition.crossing_pairs` entry) in it.  Its blocks are a
+    run of ``pi.blocks``, so the interval returned is restricted without
+    a second split.
     """
     k = pi.k
     if k == 0:
         return None
     opens = {p1 for p1, _ in pi.crossing_pairs}
-    ends = [pi.blocks[b] for b in pi.owner]  # each point's block
-    for p in range(1, k + 1):
-        mn, mx = k + 1, 0
+    own, blocks = pi.owner, pi.blocks
+    for s, start in enumerate(blocks):
+        p = start[0]
+        if p in opens:
+            continue  # the crossing stays inside every interval from p
+        mx = start[-1]
         for q in range(p, k + 1):
-            mn = min(mn, ends[q - 1][0])
-            mx = max(mx, ends[q - 1][-1])
-            if mn < p:
+            end = blocks[own[q - 1]]
+            if end[0] < p:
                 break  # a block escapes left; longer intervals keep it
+            if end[-1] > mx:
+                mx = end[-1]
             if mx > q:
                 continue  # a block escapes right; extend
-            if q - p + 1 == k:
-                break  # the full interval is handled below
-            if opens.isdisjoint(range(p, q + 1)):
-                return pi.restrict(p, q), p, q
-            break  # crossing stays inside every longer interval at this p
+            if q - p + 1 < k and opens.isdisjoint(range(p, q + 1)):
+                return _relabelled(p, q, blocks[s:max(own[p - 1:q]) + 1]), p, q
+            # the full interval is handled below, and a crossing inside
+            # p..q stays inside every longer interval from p
+            break
     if not opens:
         return pi, 1, k
     return None

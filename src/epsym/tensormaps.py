@@ -14,7 +14,8 @@ normalises every value it stores, so equal maps have equal tables.
 identity blocks: it slices each output label of ``other``, looks the
 slice up in ``core`` and splices the image back in; ``a @ b`` is
 ``a.on_legs(0, b)``.  Chains of such window steps are how the indicator
-route and the bridge identities compose their elementary maps.
+route and the bridge identities compose their elementary maps; the
+indicator route builds each distinct core once per trace.
 
 Every builder writes entry 1 (upper word -> lower word) per labelling of
 a two-row partition's blocks by 1..n, unless a pattern gate rejects it:
@@ -157,7 +158,7 @@ class TensorMap:
                     if new == 0:
                         del row[key]
                     else:
-                        row[key] = stored(new)
+                        row[key] = new if new.__class__ is int else stored(new)
             if row:
                 out.rows[i] = row
         return out
@@ -249,7 +250,7 @@ def _labellings(pi: TwoRowPartition, n: int, keep=None) -> TensorMap:
     out = TensorMap(n, k, pi.l)
     for vals in product(range(1, n + 1), repeat=len(pi.underlying.blocks)):
         if keep is None or keep(vals):
-            word = tuple(vals[b] for b in owner)
+            word = tuple(map(vals.__getitem__, owner))
             out.rows.setdefault(word[:k], {})[word[k:]] = 1
     return out
 

@@ -235,6 +235,92 @@ def test_traces_match_a_reduction_driven_by_the_search_oracle(monkeypatch):
         assert run_algorithm(pi, eps, Category.ALL, 1)[0].to_json() == want, pi
 
 
+def naive_step_table(step, k_before, eps, n):
+    """One reduction step as an {(input, output): 1} table over all
+    n**k_before words, from the oracles' brute-force cores: the
+    (sigma.k -> 0) spreading map of sigma on legs p..q, or the gated
+    swap on legs l, l+1."""
+    if step.case == 1:
+        core = oracles.naive_t_pi(TwoRowPartition(step.sigma.k, 0, step.sigma), n)
+        lo, hi = step.p - 1, step.q
+    else:
+        core = oracles.naive_r_map("cross1", eps, n)
+        lo, hi = step.l - 1, step.l + 1
+    return {(w, w[:lo] + j + w[hi:]): c
+            for w in product(range(1, n + 1), repeat=k_before)
+            for (i, j), c in core.items() if w[lo:hi] == i}
+
+
+@pytest.mark.parametrize("eps", [preset("ex-d"), preset("comm", 3), preset("free", 3)],
+                         ids=["ex-d", "comm3", "free3"])
+def test_each_distinct_core_is_built_once_per_trace(monkeypatch, eps):
+    n, built = 2, []
+    for name in ("t_pi", "r_map"):
+        real = getattr(indicator, name)
+        monkeypatch.setattr(indicator, name,
+                            lambda *a, _real=real, _name=name: built.append(_name) or _real(*a))
+    repeats_sigma = repeats_swap = False
+    for pi in (pi for k in range(6) for pi in enumerate_partitions(k)):
+        trace, _ = run_algorithm(pi, eps, Category.ALL, n)
+        built.clear()
+        got = compose_trace_map(trace, n)
+        sigmas = [s.sigma for s in trace.steps if s.case == 1]
+        swaps = len(trace.steps) - len(sigmas)
+        assert built.count("t_pi") == len(set(sigmas)), pi
+        assert built.count("r_map") == min(swaps, 1), pi
+        repeats_sigma |= len(set(sigmas)) < len(sigmas)
+        repeats_swap |= swaps > 1
+        # the step maps composed one by one through the oracle
+        want = {(w, w): 1 for w in product(range(1, n + 1), repeat=pi.k)}
+        k = pi.k
+        for step in trace.steps:
+            want = oracles.naive_compose(naive_step_table(step, k, eps, n), want)
+            k = step.points
+        assert {(i, j): c for i, j, c in got.entries()} == want, pi
+    assert repeats_sigma and repeats_swap
+
+
+def test_a_trace_of_singletons_builds_its_one_core_once(monkeypatch):
+    pi = parse_partition("{1}{2}{3}{4}")
+    trace, mp = run_algorithm(pi, preset("comm", 3), Category.ALL, 3)
+    assert [(s.case, str(s.sigma)) for s in trace.steps] == [(1, "{1}")] * 4
+    calls = []
+    monkeypatch.setattr(indicator, "t_pi", lambda *a: calls.append(a) or t_pi(*a))
+    assert compose_trace_map(trace, 3) == mp
+    assert len(calls) == 1
+
+
+def test_each_removal_splits_its_partition_once(monkeypatch):
+    calls = []
+    split = SetPartition._split
+    monkeypatch.setattr(SetPartition, "_split",
+                        lambda self, p, q: calls.append((p, q)) or split(self, p, q))
+    for pi in (pi for k in range(7) for pi in enumerate_partitions(k)):
+        calls.clear()
+        trace, _ = run_algorithm(pi, preset("ex-f"), Category.ALL, 1)
+        assert calls == [(s.p, s.q) for s in trace.steps if s.case == 1], pi
+
+
+def test_sampled_check_reads_each_drawn_word_once(monkeypatch):
+    # the walk takes the drawn word as it is; in_nc_eps checks it once
+    from epsym import epsmat, partitions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return epsmat.validate_word(*args)
+
+    monkeypatch.setattr(indicator, "validate_word", counted)
+    monkeypatch.setattr(partitions, "validate_word", counted)
+    eps = preset("comm", 16)
+    rep = verify_oracle(FIGURE, eps, Category.ALL, 3, sample=50)
+    assert (rep.passed, rep.checked) == (True, 50)
+    assert len(calls) == 50
+    trace, _ = run_algorithm(FIGURE, eps, Category.ALL, 3)
+    assert evaluate_trace(trace, (1,) * 16) == 0  # crossing blocks on one label
+    assert len(calls) == 51
+
+
 def test_step_maps_compose_to_the_returned_map():
     eps = preset("ex-d")
     pi = parse_partition("{1,4}{2,3}{5}")

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,28 @@ def test_noncrossing_matches_naive():
 @given(rgs_partitions(max_k=7))
 def test_crossing_pairs_match_naive(pi):
     assert set(pi.crossing_pairs) == oracles.naive_crossing_pairs(pi)
+
+
+def test_crossing_pairs_are_the_sorted_naive_pairs():
+    # the exact tuple: sorted, and each pair once
+    partitions = [pi for k in range(8) for pi in enumerate_partitions(k)]
+    assert len(partitions) == 1156
+    for pi in partitions:
+        assert pi.crossing_pairs == tuple(sorted(oracles.naive_crossing_pairs(pi))), pi
+
+
+def test_memoised_properties_stay_invisible():
+    read, fresh = P("{1,3}{2,4}{5}"), SetPartition.of(5, [(5,), (4, 2), (3, 1)])
+    before = (hash(fresh), repr(fresh), fresh.to_json())
+    assert (read.owner, read.crossing_pairs) == ((0, 1, 0, 1, 2), ((1, 2),))
+    assert read.owner is read.owner and read.crossing_pairs is read.crossing_pairs
+    assert read == fresh and fresh == read
+    assert (hash(read), repr(read), read.to_json()) == before
+    assert (hash(fresh), repr(fresh), fresh.to_json()) == before
+    for name in ("k", "blocks", "owner", "crossing_pairs"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(read, name, None)
+    assert "crossing" in SetPartition.crossing_pairs.__doc__
 
 
 def test_eps_noncrossing_examples():
