@@ -185,16 +185,16 @@ def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
 def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
     """The words on which the indicator of ``pi`` is 1: the labellings of
     its blocks by 1..n under which every pair of crossing blocks carries
-    pattern entry 1.  Built point by point: a block's first point takes
-    every label when the block crosses no earlier block, else each label
-    whose pattern row has entry 1 at the labels of the earlier blocks it
-    crosses; its later points repeat that label."""
+    pattern entry 1 (:attr:`SetPartition.crossing_blocks`).  Built point
+    by point: a block's first point takes every label when the block
+    crosses no earlier block, else each label whose pattern row has entry
+    1 at the labels of the earlier blocks it crosses; its later points
+    repeat that label."""
     own = pi.owner
     first = [b[0] - 1 for b in pi.blocks]
-    crossed: list[set[int]] = [set() for _ in pi.blocks]
-    for p, q in pi.crossing_pairs:
-        a, b = sorted((own[p - 1], own[q - 1]))
-        crossed[b].add(first[a])
+    crossed: list[list[int]] = [[] for _ in pi.blocks]
+    for a, b in pi.crossing_blocks:
+        crossed[b].append(first[a])
     labels = range(1, n + 1)
     rows = tuple(enumerate(eps.entries[:n], start=1))
     words: list[Label] = [()]

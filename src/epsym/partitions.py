@@ -28,8 +28,8 @@ order before opening a new block keeps restricted-growth order, at a
 cost that grows with the admitted set rather than with Bell(k).  A
 join's crossing test looks only at the joining block's last point,
 which suffices because every state is itself admissible (see
-:func:`_grow`); :func:`find_case2_index`, which meets arbitrary
-partitions, reads the full list :attr:`SetPartition.crossing_pairs`.
+:func:`_grow`); the reduction's searches, which meet arbitrary
+partitions, read which blocks cross, :attr:`SetPartition.crossing_blocks`.
 """
 
 from __future__ import annotations
@@ -99,38 +99,50 @@ class SetPartition:
         return self.blocks[self.owner[p - 1]]
 
     @_memo
+    def crossing_blocks(self) -> tuple[tuple[int, int], ...]:
+        """The index pairs (a, b), a < b, of crossing blocks, sorted.
+
+        Block a starts first, so the two cross exactly when a has a
+        point strictly inside the span of b: its first point after the
+        start of b comes before the end of b.
+        """
+        pairs: list[tuple[int, int]] = []
+        bs = self.blocks
+        for ai, a in enumerate(bs):
+            for bi in range(ai + 1, len(bs)):
+                b = bs[bi]
+                if b[0] > a[-1]:
+                    break  # b and every later block start after a ends
+                if a[bisect_right(a, b[0])] < b[-1]:
+                    pairs.append((ai, bi))  # else b lies in one gap of a
+        return tuple(pairs)
+
+    @_memo
     def crossing_pairs(self) -> tuple[tuple[int, int], ...]:
         """All point pairs (p1, q1) that open a crossing, sorted.
 
         (p1, q1) is listed when p1 < q1 lie in distinct blocks A and B
         and the crossing completes, i.e. A returns between q1 and the
-        last point of B.  A partition is noncrossing exactly when this
-        list is empty, and it is admissible for a word exactly when all
-        listed pairs carry pattern entry 1.  Each pair arises once, from
-        its two blocks and q1; blocks whose spans are disjoint, or one of
-        which lies in a gap of the other, are skipped.
+        last point of B.  A partition is admissible for a word exactly
+        when all listed pairs carry pattern entry 1.  Each pair arises
+        once, from the two blocks of a :attr:`crossing_blocks` entry.
         """
         pairs: list[tuple[int, int]] = []
         bs = self.blocks
-        for ai, a in enumerate(bs):
-            for b in bs[ai + 1:]:
-                if b[0] > a[-1]:
-                    break  # b and every later block start after a ends
-                if a[bisect_right(a, b[0])] > b[-1]:
-                    continue  # b lies in one gap of a
-                for opener, other in ((a, b), (b, a)):
-                    last = other[-1]
-                    for q1 in other:
-                        lo = bisect_right(opener, q1)
-                        if lo < len(opener) and opener[lo] < last:
-                            # the crossing completes; every earlier opener point opens it
-                            pairs += [(p1, q1) for p1 in opener[:lo]]
+        for ai, bi in self.crossing_blocks:
+            for opener, other in ((bs[ai], bs[bi]), (bs[bi], bs[ai])):
+                last = other[-1]
+                for q1 in other:
+                    lo = bisect_right(opener, q1)
+                    if lo < len(opener) and opener[lo] < last:
+                        # the crossing completes; every earlier opener point opens it
+                        pairs += [(p1, q1) for p1 in opener[:lo]]
         pairs.sort()
         return tuple(pairs)
 
     @property
     def is_noncrossing(self) -> bool:
-        return not self.crossing_pairs
+        return not self.crossing_blocks
 
     def mixed_block(self, vals: Sequence[int]) -> Optional[Block]:
         """The first block whose points carry more than one label of
@@ -358,48 +370,33 @@ def find_noncrossing_subpartition(
     noncrossing.  Returns (sigma, p, q) with sigma relabelled to
     1..(q-p+1), or None if nothing qualifies.
 
-    A block-closed interval opens at a block's first point and holds
-    both blocks of every crossing or neither, so its restriction is
-    noncrossing exactly when no crossing opens (first point of a
-    :attr:`SetPartition.crossing_pairs` entry) in it.  Its blocks are a
-    run of ``pi.blocks``, so the interval returned is restricted without
-    a second split.
+    Only a block's span p..q can qualify, and only if the block s
+    crosses no later block: a block starting inside the span and ending
+    after it would cross s.  The span qualifies when no earlier block
+    reaches in (the least owner in p..q is s) and no block of its run
+    s..m of ``pi.blocks``, s included, crosses a later block.
     """
     k = pi.k
     if k == 0:
         return None
-    opens = {p1 for p1, _ in pi.crossing_pairs}
+    crossers = {a for a, _ in pi.crossing_blocks}  # blocks crossing a later one
     own, blocks = pi.owner, pi.blocks
-    for s, start in enumerate(blocks):
-        p = start[0]
-        if p in opens:
-            continue  # the crossing stays inside every interval from p
-        mx = start[-1]
-        for q in range(p, k + 1):
-            end = blocks[own[q - 1]]
-            if end[0] < p:
-                break  # a block escapes left; longer intervals keep it
-            if end[-1] > mx:
-                mx = end[-1]
-            if mx > q:
-                continue  # a block escapes right; extend
-            if q - p + 1 < k and opens.isdisjoint(range(p, q + 1)):
-                return _relabelled(p, q, blocks[s:max(own[p - 1:q]) + 1]), p, q
-            # the full interval is handled below, and a crossing inside
-            # p..q stays inside every longer interval from p
-            break
-    if not opens:
-        return pi, 1, k
-    return None
+    for s, b in enumerate(blocks):
+        p, q = b[0], b[-1]
+        if q - p + 1 == k:
+            continue  # the full interval is handled below
+        run = own[p - 1:q]
+        m = max(run)
+        if min(run) == s and crossers.isdisjoint(range(s, m + 1)):
+            return _relabelled(p, q, blocks[s:m + 1]), p, q
+    return None if crossers else (pi, 1, k)
 
 
 def find_case2_index(pi: SetPartition) -> Optional[int]:
     """Smallest l whose legs l, l+1 sit on crossing blocks V, V' with
-    min(V') < min(V).  Swapping such legs pulls the earlier block left.
-    Two blocks cross iff a listed crossing pair has a point in each."""
+    min(V') < min(V).  Swapping such legs pulls the earlier block left."""
     own = pi.owner
-    # index pairs (earlier, later) of crossing blocks, indexed by first point
-    crossing = {tuple(sorted((own[p - 1], own[q - 1]))) for p, q in pi.crossing_pairs}
+    crossing = set(pi.crossing_blocks)  # index pairs (earlier, later)
     return next((l for l in range(1, pi.k) if (own[l], own[l - 1]) in crossing), None)
 
 

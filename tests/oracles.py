@@ -139,12 +139,15 @@ def naive_find_noncrossing_subpartition(pi):
     """The interval search of ``find_noncrossing_subpartition`` with every
     candidate restricted and its crossings listed by the quadruple loop:
     block-closed p..q, proper intervals leftmost then shortest, the full
-    interval only when no proper one qualifies."""
+    interval only when no proper one qualifies.  Reads only ``pi.k`` and
+    ``pi.blocks``; the restriction is relabelled here."""
     k = pi.k
     if k == 0:
         return None
-    bmin = [pi.block_containing(p)[0] for p in range(1, k + 1)]
-    bmax = [pi.block_containing(p)[-1] for p in range(1, k + 1)]
+    bmin, bmax = [0] * k, [0] * k
+    for b in pi.blocks:
+        for x in b:
+            bmin[x - 1], bmax[x - 1] = b[0], b[-1]
     for p in range(1, k + 1):
         mn, mx = k + 1, 0
         for q in range(p, k + 1):
@@ -156,11 +159,11 @@ def naive_find_noncrossing_subpartition(pi):
                 continue
             if q - p + 1 == k:
                 break
-            sigma = pi.restrict(p, q)
-            if not naive_crossing_pairs(sigma):
-                return sigma, p, q
+            inside = [[x - p + 1 for x in b] for b in pi.blocks if p <= b[0] <= q]
+            if not naive_crossing_pairs(_Owned(q - p + 1, inside)):
+                return type(pi).of(q - p + 1, inside), p, q
             break
-    if not naive_crossing_pairs(pi):
+    if not naive_crossing_pairs(_Owned(k, pi.blocks)):
         return pi, 1, k
     return None
 

@@ -225,6 +225,29 @@ def test_mpi_verify_single_partition_json(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_mpi_verify_exits_1_on_a_wrong_map(monkeypatch, capsys, as_json):
+    from epsym import indicator
+    real = indicator.run_algorithm
+
+    def run(*args):
+        trace, mp = real(*args)
+        mp.rows.pop((1, 3, 1, 3))  # an admissible word under ex-f
+        return trace, mp
+
+    monkeypatch.setattr(indicator, "run_algorithm", run)
+    code, out, err = run_cli(capsys, "mpi", "verify", "--preset", "ex-f", "--n", "3",
+                             "--partition", "{1,3}{2,4}", *(["--json"] if as_json else []))
+    # (1, 3, 1, 3) is the 21st of the 3**4 words in lexicographic order
+    detail = "pi={1,3}{2,4}, i=(1, 3, 1, 3): map gives 0, membership gives 1"
+    assert (code, err) == (1, "")
+    if as_json:
+        assert json.loads(out) == {"passed": False, "checked": 21,
+                                   "counterexample": detail, "notes": []}
+    else:
+        assert out == f"FAIL after 21 cases: {detail}\n"
+
+
 def test_definetti_verb(capsys):
     code, out, _ = run_cli(capsys, "definetti", "--preset", "free", "--n", "2",
                            "--cat", "all", "--kappa", "semicircle", "--max-k", "3")
@@ -333,6 +356,52 @@ def test_malformed_kappa_file_exit_2(tmp_path, capsys, table):
                              "--index", "1,2,1", "--kappa", f"file:{bad}")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# (argv, text of the file written for FILE or None, the one stderr line)
+REFUSALS = [
+    (["show-eps", "--preset", "block", "--n", "2"], None,
+     "preset block needs a first size (--n or --size) and --m"),
+    (["moment", "--preset", "free", "--n", "2", "--index", "1", "--kappa", "foo"], None,
+     "--kappa must be 'semicircle' or 'file:PATH'"),
+    (["rep-check", "--preset", "ex-d", "--rep", "bogus"], None,
+     "--rep must be 'projection-pair' or 'perm:IMAGES'"),
+    (["mpi", "verify", "--preset", "ex-d"], None, "pass --partition or --k"),
+    (["coxeter-check", "--preset", "comm", "--n", "1"], None,
+     "the representation needs at least two coordinates"),
+    (["partitions", "--k", "3", "--cat", "foo"], None,
+     "unknown category 'foo'; use all, pair, onetwo or even"),
+    (["mpi", "run", "--preset", "ex-d", "--partition", "{1}{}"], None,
+     "empty block at position 4"),
+    (["mpi", "run", "--preset", "ex-d", "--partition", "{1,a}"], None,
+     "bad block contents at position 1: '1,a'"),
+    # 3**13 basis vectors exceed the materialisation limit
+    (["mpi", "verify", "--preset", "ex-f", "--n", "3", "--partition",
+      "{1,2}{3,4}{5,6}{7,8}{9,10}{11,12}{13}"], None,
+     "space too large to enumerate; pass sample="),
+    (["show-eps", "--eps-file", "FILE"], "", "line 1, column 1: missing size line"),
+    (["show-eps", "--eps-file", "FILE"], "0\n", "line 1, column 1: size must be positive"),
+    (["show-eps", "--eps-file", "FILE"], "2\n0 1 1\n1 0\n",
+     "line 2, column 5: more than 2 entries"),
+    (["show-eps", "--eps-file", "FILE"], "2\n0 1\n1\n",
+     "line 3, column 2: expected 2 entries, got 1"),
+    (["moment", "--preset", "free", "--n", "2", "--index", "1", "--kappa", "file:FILE"],
+     '{"n": 3, "kappas": [["1"]]}', "row count does not match n"),
+]
+
+
+@pytest.mark.parametrize("argv,text,message", REFUSALS, ids=[
+    "block-without-m", "kappa-unknown", "rep-unknown", "mpi-verify-no-target",
+    "coxeter-one-coordinate", "category-unknown", "partition-empty-block",
+    "partition-bad-contents", "mpi-verify-space-too-large", "eps-file-empty",
+    "eps-file-size-zero", "eps-file-long-row", "eps-file-short-row",
+    "kappa-file-row-count"])
+def test_refusal_prints_its_one_line(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [a.replace("FILE", str(path)) for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_determinism_byte_identical(capsys):

@@ -14,6 +14,7 @@ from epsym.cumulants import CumulantSpec, kappa_pi, moment, parse_fraction
 from epsym.epsmat import preset
 from epsym.groups import check_eps_exchangeability
 from epsym.indicator import definetti_identity_report
+from epsym.report import CheckReport
 from epsym.partitions import (Category, SetPartition, enumerate_partitions,
                               nc_eps_set, parse_partition)
 
@@ -291,6 +292,17 @@ def test_exchangeability_requires_identical_rows():
     with pytest.raises(ValueError, match="identically"):
         check_eps_exchangeability(preset("free", 2), spec, 2)
 
+
+def test_exchangeability_names_the_first_pair_a_wrong_moment_splits(monkeypatch):
+    real = groups.moment
+    monkeypatch.setattr(groups, "moment",
+                        lambda i, *args: real(i, *args) + (i == (1, 2)))
+    rep = check_eps_exchangeability(preset("ex-d"), SEMI(4), 2)
+    # 8 automorphisms x 5 shorter words, 16 words under the identity and
+    # 16 under (1, 2, 4, 3), which fixes (1, 2); (2, 1, 3, 4) fails at its
+    # second word
+    assert rep == CheckReport(False, 74, "sigma=(2, 1, 3, 4), i=(1, 2): 1 != 0")
+    assert rep.line() == "FAIL after 74 cases: sigma=(2, 1, 3, 4), i=(1, 2): 1 != 0"
 
 def test_exchangeability_rejects_negative_max_k():
     with pytest.raises(ValueError, match=r"^max_k must be at least 0, got -1$"):

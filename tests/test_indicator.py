@@ -16,6 +16,7 @@ from epsym.indicator import (MATERIALIZE_LIMIT, AlgorithmTrace,
                              evaluate_trace, run_algorithm, verify_oracle)
 from epsym.partitions import (Category, SetPartition, TwoRowPartition,
                               enumerate_partitions, in_nc_eps, parse_partition)
+from epsym.report import CheckReport
 from epsym.tensormaps import BAAR, TensorMap, r_map, t_pi
 
 FIGURE = parse_partition("{1,7,15}{2,5}{3,4}{6,10,16}{8,9}{11,13}{12,14}")
@@ -163,6 +164,28 @@ def test_sample_below_one_is_rejected(sample, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         verify_oracle(parse_partition("{1,3}{2,4}"), preset("ex-f"), Category.ALL, 3,
                       sample=sample)
+
+
+@pytest.mark.parametrize("edit,checked,i,got,want", [
+    # the 3rd word drawn splits the block {1,3}: a row the map must not have
+    (lambda rows: rows.update({(2, 2, 3, 1): {(): 1}}), 3, (2, 2, 3, 1), 1, 0),
+    # the 7th is admissible (ex-f has entry 1 at labels 1, 3): a lost row
+    (lambda rows: rows.pop((1, 3, 1, 3)), 7, (1, 3, 1, 3), 0, 1),
+], ids=["extra-row", "lost-row"])
+def test_sampled_check_names_the_first_drawn_word_a_wrong_map_gets_wrong(
+        monkeypatch, edit, checked, i, got, want):
+    pi, real = parse_partition("{1,3}{2,4}"), indicator.run_algorithm
+
+    def run(*args):
+        trace, mp = real(*args)
+        edit(mp.rows)
+        return trace, mp
+
+    monkeypatch.setattr(indicator, "run_algorithm", run)
+    rep = verify_oracle(pi, preset("ex-f"), Category.ALL, 3, sample=20)
+    detail = f"pi={{1,3}}{{2,4}}, i={i}: map gives {got}, membership gives {want}"
+    assert rep == CheckReport(False, checked, detail)
+    assert rep.line() == f"FAIL after {checked} cases: {detail}"
 
 
 # the base dimension of every map route is an int in 1..eps.n: True used

@@ -174,18 +174,34 @@ def test_crossing_pairs_are_the_sorted_naive_pairs():
         assert pi.crossing_pairs == tuple(sorted(oracles.naive_crossing_pairs(pi))), pi
 
 
+def test_crossing_blocks_are_the_naively_crossing_block_pairs():
+    # the exact tuple: sorted index pairs (a, b) with a < b, each pair once
+    partitions = [pi for k in range(9) for pi in enumerate_partitions(k)]
+    assert len(partitions) == 5296
+    for pi in partitions:
+        bs = pi.blocks
+        want = tuple((a, b) for a, b in itertools.combinations(range(len(bs)), 2)
+                     if oracles.blocks_cross_naive(bs[a], bs[b]))
+        assert pi.crossing_blocks == want, pi
+        assert pi.is_noncrossing == (not pi.crossing_blocks), pi
+        assert pi.crossing_pairs == tuple(sorted(oracles.naive_crossing_pairs(pi))), pi
+
+
 def test_memoised_properties_stay_invisible():
     read, fresh = P("{1,3}{2,4}{5}"), SetPartition.of(5, [(5,), (4, 2), (3, 1)])
     before = (hash(fresh), repr(fresh), fresh.to_json())
-    assert (read.owner, read.crossing_pairs) == ((0, 1, 0, 1, 2), ((1, 2),))
+    assert (read.owner, read.crossing_blocks, read.crossing_pairs) == \
+        ((0, 1, 0, 1, 2), ((0, 1),), ((1, 2),))
     assert read.owner is read.owner and read.crossing_pairs is read.crossing_pairs
+    assert read.crossing_blocks is read.crossing_blocks
     assert read == fresh and fresh == read
     assert (hash(read), repr(read), read.to_json()) == before
     assert (hash(fresh), repr(fresh), fresh.to_json()) == before
-    for name in ("k", "blocks", "owner", "crossing_pairs"):
+    for name in ("k", "blocks", "owner", "crossing_blocks", "crossing_pairs"):
         with pytest.raises(FrozenInstanceError):
             setattr(read, name, None)
     assert "crossing" in SetPartition.crossing_pairs.__doc__
+    assert "crossing blocks" in SetPartition.crossing_blocks.__doc__
 
 
 def test_eps_noncrossing_examples():
@@ -536,6 +552,11 @@ def test_partition_parse_errors():
         parse_partition("1,3")
     with pytest.raises(ValueError):
         parse_partition("{1,3}{2,5}")  # gap: 4 missing
+
+
+def test_whitespace_between_blocks_is_skipped():
+    pi = parse_partition("{1} {2}")
+    assert pi == SetPartition.of(2, [(1,), (2,)]) and format_partition(pi) == "{1}{2}"
 
 
 def test_two_row_reflection():

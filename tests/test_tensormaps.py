@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from epsym import tensormaps
 from epsym.cumulants import CumulantSpec, kappa_pi, moment
 from epsym.epsmat import PRESET_NAMES, make_epsilon, preset
 from epsym.groups import projection_pair_representation
 from epsym.indicator import evaluate_trace, run_algorithm
 from epsym.partitions import (Category, SetPartition, TwoRowPartition,
                               enumerate_partitions)
+from epsym.report import CheckResult
 from epsym.tensormaps import (BAAR, CROSS, DREIPARTROT, IDID, PAAR, PAARBAAR,
                               VIERPARTROT, TensorMap, box_calculus_suite,
                               eps_as_map, free_neighbors_map,
@@ -450,6 +452,23 @@ def test_on_legs_shape_errors():
 def test_intertwiner_identity_suite_passes(name, eps):
     report = intertwiner_identity_suite(eps)
     assert report.passed, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("wrong,detail", [
+    # one entry lost
+    (lambda f: TensorMap(f.n, 1, 1, [e for e in f.entries() if e[:2] != ((2,), (3,))]),
+     "first difference at in=(2,) out=(3,): 1 != 0"),
+    # the same entries over one more coordinate
+    (lambda f: TensorMap(f.n + 1, 1, 1, f.entries()), "shape mismatch"),
+], ids=["entry-lost", "base-dimension"])
+def test_intertwiner_suite_names_how_a_wrong_map_differs(monkeypatch, wrong, detail):
+    real = tensormaps.free_neighbors_map
+    monkeypatch.setattr(tensormaps, "free_neighbors_map", lambda eps: wrong(real(eps)))
+    report = intertwiner_identity_suite(preset("ex-d"))
+    name = "three-block . paarbaar0 . three-block* = free-neighbour map"
+    assert [c.passed for c in report.checks] == [True] * 4 + [False]
+    assert report.first_failure() == CheckResult(name, False, detail)
+    assert report.lines()[-1] == f"[FAIL] {name}  ({detail})"
 
 
 @pytest.mark.parametrize("name,eps", ALL_PRESETS)
