@@ -1,9 +1,11 @@
 """Set partitions and the mixed-commutation crossing analysis.
 
 Partitions of {1..k} are kept in a canonical form (blocks sorted by their
-minimum, elements ascending inside each block; :meth:`SetPartition.of`
-is the one place that sorts) so that structural equality and
-enumeration order are stable.  Enumeration follows
+minimum, elements ascending inside each block) so that structural
+equality and enumeration order are stable.  :meth:`SetPartition.of` is
+the one place that sorts; the constructor refuses anything else in one
+line, and the module's own builders, whose blocks are canonical by
+construction, skip that check.  Enumeration follows
 restricted-growth-string lexicographic order.
 
 The central predicate is pattern-aware noncrossingness: a partition may
@@ -18,18 +20,21 @@ built in :mod:`epsym.indicator`.  The test lives in one place, behind
 :meth:`SetPartition.mixed_block`, in front of it.  Each checks its word
 once, first, by :func:`epsym.epsmat.validate_word`.
 
-Both partition lists come from one placement loop: points are placed
-left to right, a point may join only an earlier block with its own
-label, and a join that would complete a crossing at pattern entry 0 is
-refused on the spot.  :func:`nc_eps_set` runs it on a word and its
-pattern; :func:`enumerate_partitions` runs it on one label whose single
-pattern entry admits every crossing or none.  Trying joins in block
-order before opening a new block keeps restricted-growth order, at a
-cost that grows with the admitted set rather than with Bell(k).  A
-join's crossing test looks only at the joining block's last point,
-which suffices because every state is itself admissible (see
-:func:`_grow`); the reduction's searches, which meet arbitrary
-partitions, read which blocks cross, :attr:`SetPartition.crossing_blocks`.
+Both partition lists come from one depth-first placement walk: points
+are placed left to right on one list of blocks, a point may join only an
+earlier block with its own label, and a join that would complete a
+crossing at pattern entry 0 is refused on the spot.  :func:`nc_eps_set`
+runs it on a word and its pattern; :func:`enumerate_partitions` runs it
+on one label whose single pattern entry admits every crossing or none.
+Trying joins in block order before opening a new block keeps
+restricted-growth order, at a cost that grows with the admitted set
+rather than with Bell(k).  A label's first occurrence has no block to
+join, so it is placed without a choice, and the walk recurses only on
+repeated occurrences.  A join's crossing test looks only at the joining
+block's last point, which suffices because every placement on the way is
+itself admissible (see :func:`_grow`); the reduction's searches, which
+meet arbitrary partitions, read which blocks cross,
+:attr:`SetPartition.crossing_blocks`.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ from .epsmat import (EpsilonMatrix, check_in_range, check_int, validate_index,
                      validate_word)
 
 Block = tuple[int, ...]
+
+
+def _least(b: Block) -> int:
+    return b[0] if b else 0
 
 
 class _memo:
@@ -62,29 +71,25 @@ class _memo:
 
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {1..k} in canonical order.  Build through ``of``."""
+    """A partition of {1..k} in canonical order.  Build through ``of``,
+    which sorts; the constructor itself only checks."""
 
     k: int
     blocks: tuple[Block, ...]
 
+    def __post_init__(self):
+        blocks = self.blocks
+        if type(blocks) is not tuple or not all(type(b) is tuple for b in blocks):
+            raise ValueError("blocks must be a tuple of tuples")
+        _check_points(self.k, blocks)
+        if blocks != tuple(sorted((tuple(sorted(b)) for b in blocks), key=_least)):
+            raise ValueError(f"blocks {blocks} are not in canonical order: "
+                             "by least point, ascending inside each")
+
     @classmethod
     def of(cls, k: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks),
-                             key=lambda b: b[0] if b else 0))
-        seen: set[int] = set()
-        for b in canon:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            for p in b:
-                if not 1 <= p <= k:
-                    raise ValueError(f"point {p} outside 1..{k}")
-                if p in seen:
-                    raise ValueError(f"point {p} appears in two blocks")
-                seen.add(p)
-        if len(seen) != k:
-            missing = sorted(set(range(1, k + 1)) - seen)
-            raise ValueError(f"points {missing} not covered")
-        return cls(k, canon)
+        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=_least))
+        return _trusted(k, _check_points(k, canon))
 
     @_memo
     def owner(self) -> tuple[int, ...]:
@@ -175,8 +180,8 @@ class SetPartition:
         """Drop a block-closed interval p..q and relabel the remainder."""
         width = q - p + 1
         _, outside = self._split(p, q)
-        return SetPartition(self.k - width,
-                            tuple(tuple(x if x < p else x - width for x in b) for b in outside))
+        return _trusted(self.k - width,
+                        tuple(tuple(x if x < p else x - width for x in b) for b in outside))
 
     def swap_points(self, l: int) -> "SetPartition":
         """Exchange the legs sitting on points l and l+1."""
@@ -196,6 +201,41 @@ class SetPartition:
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+def _check_points(k: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
+    """Check that k is an integer >= 0 and that the nonempty ``blocks``
+    hold each of the integer points 1..k exactly once; each refusal is a
+    one-line ``ValueError``."""
+    if check_int("k", k) < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    seen: set[int] = set()
+    for b in blocks:
+        if not b:
+            raise ValueError("blocks must be nonempty")
+        for p in b:
+            if type(p) is not int:
+                raise ValueError(f"point {p!r} is not an integer")
+            if not 1 <= p <= k:
+                raise ValueError(f"point {p} outside 1..{k}")
+            if p in seen:
+                raise ValueError(f"point {p} appears in two blocks")
+            seen.add(p)
+    if len(seen) != k:
+        missing = sorted(set(range(1, k + 1)) - seen)
+        raise ValueError(f"points {missing} not covered")
+    return blocks
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _trusted(k: int, blocks: tuple[Block, ...]) -> SetPartition:
+    """A partition from blocks already known to be canonical, unchecked."""
+    pi = _new(SetPartition)
+    _set(pi, "k", k)
+    _set(pi, "blocks", blocks)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -315,49 +355,106 @@ def nc_eps_set(i: Sequence[int], eps: EpsilonMatrix,
 def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
           cat: Category) -> list[SetPartition]:
     """Partitions in ``cat`` admissible for the labels ``vals`` under the
-    pattern ``rows`` (row v holds label v's entries).
+    pattern ``rows`` (row v holds label v's entries), in restricted-growth
+    order.
 
+    A depth-first walk (:func:`_walk`) places the points left to right.
     Point p joins an earlier block carrying the label ``vals[p]``, so
     every candidate refines ker vals, and a join is refused as soon as
     it completes a crossing between two blocks whose labels have
-    pattern entry 0.  A block already at ``cat``'s largest size takes no
-    further point, and a family that refuses some size up to that cap
-    (pair, even) filters the finished placements by its block-size rule.
+    pattern entry 0.  The joins are tried in block order and a new block
+    last, so the placements come out in restricted-growth order.  A
+    label's first occurrence has no earlier block to join: it is placed
+    as a new block without a choice, so only repeated occurrences are
+    choices, and the walk's depth is their number, not k.  A block
+    already at ``cat``'s largest size takes no further point, and a
+    family that refuses some size up to that cap (pair, even) filters
+    the finished placements by its block-size rule.
 
     Joining p to b completes a crossing with a block a exactly when a
     point of b lies strictly inside a's span, since p lies after both.
-    The last point of b is enough to test: no state holds two crossing
-    blocks at pattern entry 0, so b lies wholly inside or wholly outside
-    the span of each such block a.  The test is false for a = b, which
-    needs no separate clause.
+    The last point of b is enough to test: no placement on the way holds
+    two crossing blocks at pattern entry 0, so b lies wholly inside or
+    wholly outside the span of each such block a.  The test is false for
+    a = b, which needs no separate clause.
     """
-    # admissible placements of points 1..p-1; each state's extensions are
-    # appended in choice order, so the list stays in restricted-growth order
-    states: list[tuple[Block, ...]] = [()]
-    cap = cat.largest_block or len(vals)
-    for p, v in enumerate(vals, start=1):
-        row = rows[v - 1]
-        grown = []
-        for blocks in states:
-            for bi, b in enumerate(blocks):
-                if len(b) < cap and vals[b[0] - 1] == v and not any(
-                        row[vals[a[0] - 1] - 1] == 0 and a[0] < b[-1] < a[-1]
-                        for a in blocks):
-                    grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])
-            grown.append(blocks + ((p,),))
-        states = grown
     k = len(vals)
-    if not all(map(cat.allows, range(1, min(cap, k) + 1))):
+    cap = cat.largest_block or k
+    label = (0, *vals)  # label[q] is the label of point q
+    # each repeated occurrence p is a choice, made after placing the first
+    # occurrences since the previous one; the first occurrences after the
+    # last choice close every placement
+    choices: list[tuple[tuple[Block, ...], int, int, Sequence[int]]] = []
+    fresh: list[Block] = []
+    for p, v in enumerate(vals, start=1):
+        if label.index(v) < p:
+            choices.append((tuple(fresh), p, v, rows[v - 1]))
+            fresh = []
+        else:
+            fresh.append((p,))
+    tail = tuple(fresh)
+    if choices:
+        placed: list[tuple[Block, ...]] = []
+        _walk(choices, 0, [], placed, tail, label, cap)
+    else:
+        placed = [tail]
+    if cat is not Category.ALL and not all(map(cat.allows, range(1, min(cap, k) + 1))):
         allowed = [cat.allows(size) for size in range(k + 1)]
-        states = [blocks for blocks in states
-                  if all(allowed[len(b)] for b in blocks)]
-    return [SetPartition(k, blocks) for blocks in states]
+        placed = [bs for bs in placed if all(allowed[len(b)] for b in bs)]
+    out = []
+    for bs in placed:  # _trusted, inlined: this loop runs once per partition
+        pi = _new(SetPartition)
+        _set(pi, "k", k)
+        _set(pi, "blocks", bs)
+        out.append(pi)
+    return out
+
+
+def _walk(choices: Sequence[tuple[tuple[Block, ...], int, int, Sequence[int]]], j: int,
+          blocks: list[Block], placed: list[tuple[Block, ...]],
+          tail: tuple[Block, ...], label: Sequence[int], cap: int) -> None:
+    """Make choice j of :func:`_grow` and every later one on ``blocks``,
+    the placement of the points before it, and append each finished
+    placement to ``placed``.
+
+    The choice places its first occurrences, then puts its point p into
+    every block that passes the join test, in block order, and last into
+    a new block; each option is undone before the next.  The last
+    choice's options, with ``tail`` appended, are finished placements,
+    so the recursion is one call deep per choice but the last.  The
+    walk's state travels as arguments: a nested function reading it
+    from its closure was slower on the short words of a moment.
+    """
+    new, p, v, row = choices[j]
+    blocks.extend(new)
+    j += 1
+    last = j == len(choices)
+    for bi, b in enumerate(blocks):
+        if len(b) < cap and label[b[0]] == v:
+            end = b[-1]
+            for a in blocks:
+                if a[0] < end < a[-1] and row[label[a[0]] - 1] == 0:
+                    break
+            else:
+                blocks[bi] = b + (p,)
+                if last:
+                    placed.append((*blocks, *tail))
+                else:
+                    _walk(choices, j, blocks, placed, tail, label, cap)
+                blocks[bi] = b
+    if last:
+        placed.append((*blocks, (p,), *tail))
+        del blocks[len(blocks) - len(new):]
+    else:
+        blocks.append((p,))
+        _walk(choices, j, blocks, placed, tail, label, cap)
+        del blocks[len(blocks) - len(new) - 1:]
 
 
 def _relabelled(p: int, q: int, inside: Iterable[Block]) -> SetPartition:
     """The blocks ``inside`` the block-closed interval p..q, relabelled
     to 1..(q-p+1)."""
-    return SetPartition(q - p + 1, tuple(tuple(x - p + 1 for x in b) for b in inside))
+    return _trusted(q - p + 1, tuple(tuple(x - p + 1 for x in b) for b in inside))
 
 
 def find_noncrossing_subpartition(
@@ -409,7 +506,7 @@ def parse_partition(text: str) -> SetPartition:
     """Inverse of :func:`format_partition`."""
     s = text.strip()
     if not s:
-        return SetPartition(0, ())
+        return _trusted(0, ())
     blocks: list[tuple[int, ...]] = []
     pos = 0
     while pos < len(s):

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms:
 partitions are enumerated by point insertion or by walking every
-growth string instead of by placement with crossing pruning,
+growth string instead of by placement with crossing pruning (the one
+exception, :func:`bfs_placements`, is the breadth-first form of the
+library's placement loop, kept to check its order on long words),
 noncrossing partitions by the first-block gap recursion, crossing
 predicates by literal quadruple loops, the reduction's interval search
 by restricting every candidate interval, counting sequences by their
@@ -232,6 +234,39 @@ def naive_nc_eps_set(i, eps, cat) -> list[tuple[tuple[int, ...], ...]]:
         if naive_is_eps_noncrossing(_Owned(len(i), blocks), i, eps):
             out.append(blocks)
     return out
+
+
+def bfs_placements(vals, rows, cat) -> list[tuple[tuple[int, ...], ...]]:
+    """Blocks of every partition in family ``cat`` admissible for the
+    labels ``vals`` under the pattern ``rows``, in restricted-growth order.
+
+    The library's placement loop as it was before its depth-first walk,
+    kept as a differential oracle for lengths that the Bell(k) filter of
+    :func:`naive_nc_eps_set` cannot reach: it keeps every admissible
+    placement of points 1..p-1 and extends each, level by level, trying
+    the joins in block order and then a new block.
+    """
+    # admissible placements of points 1..p-1; each state's extensions are
+    # appended in choice order, so the list stays in restricted-growth order
+    states = [()]
+    cap = cat.largest_block or len(vals)
+    for p, v in enumerate(vals, start=1):
+        row = rows[v - 1]
+        grown = []
+        for blocks in states:
+            for bi, b in enumerate(blocks):
+                if len(b) < cap and vals[b[0] - 1] == v and not any(
+                        row[vals[a[0] - 1] - 1] == 0 and a[0] < b[-1] < a[-1]
+                        for a in blocks):
+                    grown.append(blocks[:bi] + (b + (p,),) + blocks[bi + 1:])
+            grown.append(blocks + ((p,),))
+        states = grown
+    k = len(vals)
+    if not all(map(cat.allows, range(1, min(cap, k) + 1))):
+        allowed = [cat.allows(size) for size in range(k + 1)]
+        states = [blocks for blocks in states
+                  if all(allowed[len(b)] for b in blocks)]
+    return states
 
 
 # ---------------------------------------------------------------------------

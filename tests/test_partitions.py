@@ -1,5 +1,7 @@
 import itertools
+import random
 import re
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -36,6 +38,57 @@ def test_of_rejects_bad_partitions():
         SetPartition.of(3, [(1, 2)])
     with pytest.raises(ValueError, match="outside"):
         SetPartition.of(2, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="^blocks must be nonempty$"):
+        SetPartition.of(2, [(1, 2), ()])
+    with pytest.raises(ValueError, match=r"^point 1\.5 is not an integer$"):
+        SetPartition.of(2, [(1.5,), (2,)])
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        SetPartition.of(2.0, [(1, 2)])
+
+
+@pytest.mark.parametrize("k, blocks, message", [
+    pytest.param(3, ((1,), (1, 2)), "point 1 appears in two blocks", id="repeated-point"),
+    pytest.param(3, ((1, 2), (), (3,)), "blocks must be nonempty", id="empty-block"),
+    pytest.param(3, ((1, 2),), r"points \[3\] not covered", id="uncovered-point"),
+    pytest.param(2, ((1, 2, 3),), r"point 3 outside 1\.\.2", id="point-above-k"),
+    pytest.param(2, ((0, 1, 2),), r"point 0 outside 1\.\.2", id="point-below-1"),
+    pytest.param(3, ((2, 3), (1,)), r"blocks \(\(2, 3\), \(1,\)\) are not in canonical "
+                 "order: by least point, ascending inside each", id="blocks-out-of-order"),
+    pytest.param(3, ((1, 3, 2),), r"blocks \(\(1, 3, 2\),\) are not in canonical order",
+                 id="points-out-of-order"),
+    pytest.param(2.0, ((1, 2),), r"k must be an integer, got 2\.0", id="float-k"),
+    pytest.param(True, ((1,),), "k must be an integer, got True", id="bool-k"),
+    pytest.param("2", ((1, 2),), "k must be an integer, got '2'", id="str-k"),
+    pytest.param(-1, (), "k must be >= 0, got -1", id="negative-k"),
+    pytest.param(2, [(1, 2)], "blocks must be a tuple of tuples", id="list-of-blocks"),
+    pytest.param(2, ([1, 2],), "blocks must be a tuple of tuples", id="list-block"),
+    pytest.param(2, ((1.0, 2),), r"point 1\.0 is not an integer", id="float-point"),
+    pytest.param(1, ((True,),), "point True is not an integer", id="bool-point"),
+])
+def test_constructor_refuses_what_is_not_a_canonical_partition(k, blocks, message):
+    with pytest.raises(ValueError, match=rf"^{message}") as info:
+        SetPartition(k, blocks)
+    assert "\n" not in str(info.value)
+
+
+def test_unchecked_builders_return_what_the_constructor_accepts():
+    # the walk, restrict/remove_interval and the empty parse skip the
+    # constructor's check, so their outputs must pass it
+    built = [parse_partition("")]
+    for k in range(7):
+        built += enumerate_partitions(k)
+    eps = preset("ex-f")
+    for i in itertools.product(range(1, 6), repeat=5):
+        if len(set(i)) < 4:
+            built += nc_eps_set(i, eps)
+    for pi in enumerate_partitions(6):
+        for b in pi.blocks:
+            try:
+                built += [pi.restrict(b[0], b[-1]), pi.remove_interval(b[0], b[-1])]
+            except ValueError:
+                pass  # the span is not block-closed
+    for pi in built:
+        assert SetPartition(pi.k, pi.blocks) == pi
 
 
 def test_enumeration_spot_values_k4():
@@ -315,6 +368,48 @@ def test_nc_eps_set_matches_filter_oracle_long_words(ei, cat):
     eps, i = ei
     got = [pi.blocks for pi in nc_eps_set(i, eps, cat)]
     assert got == oracles.naive_nc_eps_set(i, eps, cat)
+
+
+BFS_PATTERNS = [("ex-f",), ("trivial6",), ("cycle5",), ("comm", 3), ("free", 2)]
+
+
+@pytest.mark.parametrize("name", BFS_PATTERNS, ids=lambda p: "-".join(map(str, p)))
+def test_nc_eps_set_matches_the_breadth_first_loop_on_long_words(name):
+    # lengths 9-11 are past the Bell(k) filter oracle; the breadth-first
+    # placement loop must give the same lists in the same order
+    eps = preset(*name)
+    rng = random.Random(f"bfs-{name}")
+    for k in (9, 10, 11):
+        for _ in range(20):
+            i = tuple(rng.choices(range(1, eps.n + 1), k=k))
+            for cat in Category:
+                got = [pi.blocks for pi in nc_eps_set(i, eps, cat)]
+                assert got == oracles.bfs_placements(i, eps.entries, cat), (i, cat)
+
+
+def test_enumeration_matches_the_breadth_first_loop_at_k10():
+    for cat in Category:
+        for noncrossing_only in (False, True):
+            got = [pi.blocks for pi in enumerate_partitions(10, cat, noncrossing_only)]
+            rows = ((0 if noncrossing_only else 1,),)
+            assert got == oracles.bfs_placements((1,) * 10, rows, cat), (cat, noncrossing_only)
+
+
+def test_walk_depth_follows_the_repeats_not_the_length():
+    # 1,200 first occurrences are placed without a choice, so a word far
+    # longer than the recursion limit needs no deep recursion
+    n = 1200
+    eps = preset("free", n)
+    word = tuple(range(1, n + 1))
+    assert sys.getrecursionlimit() < n
+    assert [pi.blocks for pi in nc_eps_set(word, eps)] == [tuple((p,) for p in word)]
+    # label 1 again at points 1201 and 1202: three choices' worth of
+    # placements of {1, 1201, 1202}, every other point a singleton
+    got = nc_eps_set(word + (1, 1), eps)
+    assert [[b for b in pi.blocks if len(b) > 1 or b[0] in (1, 1201, 1202)]
+            for pi in got] == [
+        [(1, 1201, 1202)], [(1, 1201), (1202,)], [(1, 1202), (1201,)],
+        [(1,), (1201, 1202)], [(1,), (1201,), (1202,)]]
 
 
 def test_in_nc_eps_matches_definition():
