@@ -171,7 +171,7 @@ def _trace_lines(pi, trace):
         move = (f"remove {format_partition(st.sigma)} at {st.p}..{st.q}" if st.case == 1
                 else f"swap legs {st.l},{st.l + 1}")
         yield (f"step {idx}: case {st.case}: {move} -> "
-               f"{format_partition(st.result) or '(empty)'} [{st.points} points]")
+               f"{format_partition(st.result) or '(empty)'} [{st.result.k} points]")
     yield f"steps: {len(trace.steps)}"
 
 

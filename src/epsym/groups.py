@@ -108,18 +108,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def validate(self) -> None:
-        """Assert closure, identity and inverses by iteration."""
-        elems = set(self.elements)
-        if Permutation.identity(self.n) not in elems:
-            raise AssertionError("identity missing")
-        for g in self.elements:
-            if g.inverse() not in elems:
-                raise AssertionError(f"inverse of {g.images} missing")
-            for h in self.elements:
-                if g.compose(h) not in elems:
-                    raise AssertionError(f"product {g.images}*{h.images} missing")
-
     def generators(self) -> tuple[Permutation, ...]:
         """A generating subset, chosen greedily in element order.  The span
         H of the earlier generators grows to <H, g> by whole right cosets

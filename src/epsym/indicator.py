@@ -62,7 +62,6 @@ class Step:
 
     case: int
     result: SetPartition
-    points: int
     p: Optional[int] = None
     q: Optional[int] = None
     sigma: Optional[SetPartition] = None
@@ -72,9 +71,9 @@ class Step:
         if self.case == 1:
             return {"case": 1, "p": self.p, "q": self.q,
                     "sigma": self.sigma.to_json(),
-                    "result": self.result.to_json(), "points": self.points}
+                    "result": self.result.to_json(), "points": self.result.k}
         return {"case": 2, "l": self.l,
-                "result": self.result.to_json(), "points": self.points}
+                "result": self.result.to_json(), "points": self.result.k}
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,14 @@ def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
         if found is not None:
             sigma, p, q = found
             cur = cur.remove_interval(p, q)
-            steps.append(Step(1, cur, cur.k, p, q, sigma))
+            steps.append(Step(1, cur, p, q, sigma))
             continue
         l = find_case2_index(cur)
         if l is None:
             raise RuntimeError("no applicable move; violates the "
                                "crossing-structure guarantee")
         cur = cur.swap_points(l)
-        steps.append(Step(2, cur, cur.k, l=l))
+        steps.append(Step(2, cur, l=l))
     return tuple(steps)
 
 
@@ -122,7 +121,7 @@ def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
     spreading map of ``sigma`` into legs p..q, or the self-adjoint gated
     swap on legs l, l+1), in reverse step order, then transposes.  Each
     distinct core is built once per trace."""
-    end = trace.steps[-1].points if trace.steps else trace.initial.k
+    end = trace.steps[-1].result.k if trace.steps else trace.initial.k
     composed = TensorMap.identity(n, end)
     cores: dict[Optional[SetPartition], TensorMap] = {}  # sigma, or None: the swap
     for step in reversed(trace.steps):

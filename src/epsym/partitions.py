@@ -2,10 +2,10 @@
 
 Partitions of {1..k} are kept in a canonical form (blocks sorted by their
 minimum, elements ascending inside each block) so that structural
-equality and enumeration order are stable.  :meth:`SetPartition.of` is
-the one place that sorts; the constructor refuses anything else in one
-line, and the module's own builders, whose blocks are canonical by
-construction, skip that check.  Enumeration follows
+equality and enumeration order are stable.  :meth:`SetPartition.of`
+checks and sorts what it is given; the constructor refuses anything
+not canonical in one line, and the module's own builders, whose blocks
+are canonical by construction, skip that check.  Enumeration follows
 restricted-growth-string lexicographic order.
 
 The central predicate is pattern-aware noncrossingness: a partition may
@@ -88,8 +88,13 @@ class SetPartition:
 
     @classmethod
     def of(cls, k: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=_least))
-        return _trusted(k, _check_points(k, canon))
+        raw = []
+        for b in blocks:
+            if not isinstance(b, Iterable):
+                raise ValueError(f"block {b!r} is not a collection of points")
+            raw.append(tuple(b))
+        _check_points(k, raw)
+        return _trusted(k, tuple(sorted((tuple(sorted(b)) for b in raw), key=_least)))
 
     @_memo
     def owner(self) -> tuple[int, ...]:
@@ -99,9 +104,6 @@ class SetPartition:
             for p in b:
                 own[p - 1] = bi
         return tuple(own)
-
-    def block_containing(self, p: int) -> Block:
-        return self.blocks[self.owner[p - 1]]
 
     @_memo
     def crossing_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -184,17 +186,17 @@ class SetPartition:
                         tuple(tuple(x if x < p else x - width for x in b) for b in outside))
 
     def swap_points(self, l: int) -> "SetPartition":
-        """Exchange the legs sitting on points l and l+1."""
+        """Exchange the legs sitting on points l and l+1.
+
+        Two legs of one block swap onto themselves.  Legs of two blocks
+        keep each block ascending, as no point lies between l and l+1,
+        so only the order of the blocks can change."""
         check_in_range("l", l, 1, self.k - 1)
-
-        def mv(x: int) -> int:
-            if x == l:
-                return l + 1
-            if x == l + 1:
-                return l
-            return x
-
-        return SetPartition.of(self.k, (map(mv, b) for b in self.blocks))
+        if self.owner[l - 1] == self.owner[l]:
+            return self
+        mv = {l: l + 1, l + 1: l}
+        return _trusted(self.k, tuple(sorted(
+            (tuple(mv.get(x, x) for x in b) for b in self.blocks), key=_least)))
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -203,7 +205,7 @@ class SetPartition:
         return format_partition(self)
 
 
-def _check_points(k: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
+def _check_points(k: int, blocks: Sequence[Block]) -> None:
     """Check that k is an integer >= 0 and that the nonempty ``blocks``
     hold each of the integer points 1..k exactly once; each refusal is a
     one-line ``ValueError``."""
@@ -224,7 +226,6 @@ def _check_points(k: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
     if len(seen) != k:
         missing = sorted(set(range(1, k + 1)) - seen)
         raise ValueError(f"points {missing} not covered")
-    return blocks
 
 
 _new, _set = object.__new__, object.__setattr__
@@ -260,15 +261,6 @@ class TwoRowPartition:
     @classmethod
     def of(cls, k: int, l: int, blocks: Iterable[Iterable[int]]) -> "TwoRowPartition":
         return cls(k, l, SetPartition.of(k + l, blocks))
-
-    def reflected(self) -> "TwoRowPartition":
-        """Swap the rows (the adjoint on the diagrammatic side)."""
-        k, l = self.k, self.l
-
-        def mv(x: int) -> int:
-            return l + x if x <= k else x - k
-
-        return TwoRowPartition.of(l, k, (map(mv, b) for b in self.underlying.blocks))
 
 
 class Category(enum.Enum):

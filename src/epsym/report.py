@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class SuiteReport:
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
 
-    def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
@@ -53,7 +47,6 @@ class CheckReport:
     passed: bool
     checked: int
     counterexample: str | None = None
-    notes: tuple[str, ...] = field(default=())
 
     def line(self) -> str:
         if self.passed:
@@ -65,4 +58,4 @@ class CheckReport:
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "checked": self.checked,
-                "counterexample": self.counterexample, "notes": list(self.notes)}
+                "counterexample": self.counterexample, "notes": []}

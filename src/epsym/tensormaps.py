@@ -89,10 +89,6 @@ class TensorMap:
 
     # -- queries ----------------------------------------------------------
 
-    def apply(self, i: Sequence[int]) -> dict[Label, int | Fraction]:
-        """Image of a basis vector as {output label: coefficient}."""
-        return dict(self.rows.get(tuple(i), {}))
-
     def scalar_at(self, i: Sequence[int], j: Sequence[int]) -> int | Fraction:
         return self.rows.get(tuple(i), {}).get(tuple(j), 0)
 
@@ -101,10 +97,6 @@ class TensorMap:
         out = [(i, j, c) for i, row in self.rows.items() for j, c in row.items()]
         out.sort(key=lambda e: (e[1], e[0]))
         return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorMap):

@@ -10,10 +10,12 @@ predicates by literal quadruple loops, the reduction's interval search
 by restricting every candidate interval, counting sequences by their
 classical recurrences, word normal forms by rescanning cancellation
 and a quadratic lex-least selection, a word's reflection-representation
-action by a plane-by-plane product, the tensor maps as coefficient
-tables by brute force over all label pairs, the indicator check
-vector by vector, and a group's greedy generating set by regrowing the
-whole span on both sides after every new generator.
+action by a plane-by-plane product, a two-row partition's row swap by
+relabelling its points, the tensor maps as coefficient tables by brute
+force over all label pairs, the indicator check vector by vector, a
+group's closure by iterating over all pairs, and its greedy generating
+set by regrowing the whole span on both sides after every new
+generator.
 """
 
 from bisect import bisect_left
@@ -372,7 +374,22 @@ def naive_word_blocks(rep, word) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# a greedy generating set by regrowing the whole span for every generator
+# group closure by iteration, and a greedy generating set by regrowing
+# the whole span for every generator
+
+def check_group_closure(group) -> None:
+    """Assert that a permutation group's elements contain the identity
+    and every inverse and product, by iterating over all pairs."""
+    elems = set(group.elements)
+    if tuple(range(1, group.n + 1)) not in {g.images for g in elems}:
+        raise AssertionError("identity missing")
+    for g in group.elements:
+        if g.inverse() not in elems:
+            raise AssertionError(f"inverse of {g.images} missing")
+        for h in group.elements:
+            if g.compose(h) not in elems:
+                raise AssertionError(f"product {g.images}*{h.images} missing")
+
 
 def naive_generators(group) -> tuple:
     """A generating subset of a permutation group, grown greedily in
@@ -395,6 +412,17 @@ def naive_generators(group) -> tuple:
         if len(span) == len(group.elements):
             break
     return tuple(gens)
+
+
+# ---------------------------------------------------------------------------
+# the row swap of a two-row partition (the adjoint on the diagrammatic side)
+
+def reflected(two):
+    """The two-row partition with its k upper and l lower points swapped:
+    upper point x becomes lower point l + x, lower point k + y upper y."""
+    k, l = two.k, two.l
+    return type(two).of(l, k, [[l + x if x <= k else x - k for x in b]
+                                for b in two.underlying.blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +586,3 @@ def free_moment(i, spec) -> Fraction:
         if ok:
             total += term
     return total
-
-
-@lru_cache(maxsize=None)
-def _cached_nc_count(k: int) -> int:
-    return len(noncrossing_partitions(range(1, k + 1)))

@@ -120,7 +120,7 @@ def test_criterion_04_intertwiner_identity_suites():
         first = intertwiner_identity_suite(eps)
         second = box_calculus_suite(eps)
         if not (first.passed and second.passed):
-            bad = (first.first_failure() or second.first_failure())
+            bad = next(c for c in first.checks + second.checks if not c.passed)
             ok, detail = False, f"{name}: {bad.name}"
             break
     if ok:
@@ -145,7 +145,7 @@ def test_criterion_05_reflection_representation():
     for eps in battery:
         rep_report = check_coxeter_rep(eps)
         if not rep_report.passed:
-            ok, detail = False, rep_report.first_failure().name
+            ok, detail = False, next(c for c in rep_report.checks if not c.passed).name
             break
     report(5, "reflection generators: squares and pattern commutations",
            ok, detail)

@@ -48,7 +48,7 @@ def test_ex_d_group_is_the_dihedral_one():
 def test_group_structure_validates():
     for name, eps in [("ex-d", preset("ex-d")), ("ex-f", preset("ex-f")),
                       ("trivial6", preset("trivial6"))]:
-        automorphism_group(eps).validate()
+        oracles.check_group_closure(automorphism_group(eps))
 
 
 def test_group_bound():
@@ -91,7 +91,7 @@ def test_group_limit_counts_degree_preserving_maps():
     assert twice.n == 12
     group = automorphism_group(twice)
     assert group.order == 2
-    group.validate()
+    oracles.check_group_closure(group)
     # a 9-cycle sits at the limit (9! candidates), a 10-cycle above it
     assert automorphism_group(_cycle(9)).order == 18
     with pytest.raises(ValueError, match="bound"):
@@ -101,7 +101,7 @@ def test_group_limit_counts_degree_preserving_maps():
 def test_group_limit_counts_refined_classes():
     group = automorphism_group(_path(12))  # six pairs: 2**6 candidates
     assert group.order == 2
-    group.validate()
+    oracles.check_group_closure(group)
     # a 20-point path comes under the limit only once refinement has split
     # off seven pairs (2**7 * 6! candidates); fully refined it has 2**10
     assert automorphism_group(_path(20)).order == 2

@@ -44,6 +44,13 @@ def test_of_rejects_bad_partitions():
         SetPartition.of(2, [(1.5,), (2,)])
     with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
         SetPartition.of(2.0, [(1, 2)])
+    # points and blocks are checked as given, before any sorting compares them
+    with pytest.raises(ValueError, match=r"^point '2' is not an integer$"):
+        SetPartition.of(2, [(1, "2")])
+    with pytest.raises(ValueError, match=r"^point None is not an integer$"):
+        SetPartition.of(2, [(1, None), (2,)])
+    with pytest.raises(ValueError, match=r"^block 1 is not a collection of points$"):
+        SetPartition.of(1, [1])
 
 
 @pytest.mark.parametrize("k, blocks, message", [
@@ -557,8 +564,8 @@ def test_case2_index_crossing_pair():
     # exhaustive over l in {1, 2, 3}: only l = 2 satisfies all conditions
     pi = P("{1,3}{2,4}")
     for l in (1, 2, 3):
-        a = pi.block_containing(l)
-        b = pi.block_containing(l + 1)
+        a = pi.blocks[pi.owner[l - 1]]
+        b = pi.blocks[pi.owner[l]]
         ok = (a != b and b[0] < a[0] and oracles.blocks_cross_naive(a, b))
         assert ok == (l == 2)
     assert find_case2_index(pi) == 2
@@ -597,7 +604,7 @@ def test_case2_postconditions(pi):
     l = find_case2_index(pi)
     if l is None:
         return
-    a, b = pi.block_containing(l), pi.block_containing(l + 1)
+    a, b = pi.blocks[pi.owner[l - 1]], pi.blocks[pi.owner[l]]
     assert a != b and b[0] < a[0]
     assert oracles.blocks_cross_naive(a, b)
     swapped = pi.swap_points(l)
@@ -615,6 +622,15 @@ def test_swap_points_needs_a_leg_index(l, message):
     # True used to swap legs 1 and 2 and store the point as True
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         P("{1,2}{3}").swap_points(l)
+
+
+def test_swap_points_matches_relabelling_through_the_constructor():
+    for k in range(2, 8):
+        for pi in enumerate_partitions(k):
+            for l in range(1, k):
+                mv = {l: l + 1, l + 1: l}
+                want = SetPartition.of(k, [[mv.get(x, x) for x in b] for b in pi.blocks])
+                assert pi.swap_points(l) == want, (pi, l)
 
 
 # --- relabelling invariance (joint with the groups module) --------------------
@@ -656,11 +672,11 @@ def test_whitespace_between_blocks_is_skipped():
 
 def test_two_row_reflection():
     pi = TwoRowPartition.of(2, 1, [(1, 2, 3)])
-    r = pi.reflected()
+    r = oracles.reflected(pi)
     assert (r.k, r.l) == (1, 2)
     assert r.underlying == SetPartition.of(3, [(1, 2, 3)])
     cross = TwoRowPartition.of(2, 2, [(1, 4), (2, 3)])
-    assert cross.reflected().underlying == cross.underlying
+    assert oracles.reflected(cross).underlying == cross.underlying
 
 
 @pytest.mark.parametrize("k,l,text", [(1, 1, "{1,2}{3}"), (2, 2, "{1,2,3}"),

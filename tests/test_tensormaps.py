@@ -54,20 +54,20 @@ SMALL_PRESETS = [
 
 def test_t_pi_pair_spread():
     m = t_pi(PAAR, 2)
-    assert m.apply(()) == {(1, 1): 1, (2, 2): 1}
+    assert m.rows.get((), {}) == {(1, 1): 1, (2, 2): 1}
 
 
 def test_t_pi_flip():
     m = t_pi(CROSS, 2)
     for i, j in basis(2, 2):
-        assert m.apply((i, j)) == {(j, i): 1}
+        assert m.rows.get((i, j), {}) == {(j, i): 1}
 
 
 def test_t_pi_four_block():
     m = t_pi(VIERPARTROT, 3)
     for i, j in basis(3, 2):
         want = {(i, i): 1} if i == j else {}
-        assert m.apply((i, j)) == want
+        assert m.rows.get((i, j), {}) == want
 
 
 def test_t_pi_identity_partition():
@@ -78,7 +78,7 @@ def test_t_pi_free_lower_blocks_spread():
     # one upper point joined to nothing, one lower-only block
     pi = TwoRowPartition.of(1, 2, [(1, 2), (3,)])
     m = t_pi(pi, 2)
-    assert m.apply((1,)) == {(1, 1): 1, (1, 2): 1}
+    assert m.rows.get((1,), {}) == {(1, 1): 1, (1, 2): 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -121,7 +121,7 @@ def test_adjoint_matches_reflection_for_all_two_row_partitions(total):
         l = total - k
         for pi in enumerate_partitions(total):
             two = TwoRowPartition(k, l, pi)
-            assert t_pi(two, n).adjoint() == t_pi(two.reflected(), n)
+            assert t_pi(two, n).adjoint() == t_pi(oracles.reflected(two), n)
 
 
 def test_builders_emit_only_unit_coefficients():
@@ -140,8 +140,8 @@ def test_builders_emit_only_unit_coefficients():
 
 def test_cross1_on_comm():
     m = r_map("cross1", preset("comm", 2))
-    assert m.apply((1, 2)) == {(2, 1): 1}
-    assert m.apply((1, 1)) == {}
+    assert m.rows.get((1, 2), {}) == {(2, 1): 1}
+    assert m.rows.get((1, 1), {}) == {}
 
 
 def test_idid0_on_free_is_identity():
@@ -151,9 +151,9 @@ def test_idid0_on_free_is_identity():
 
 def test_paarbaar0_on_comm():
     m = r_map("paarbaar0", preset("comm", 2))
-    assert m.apply((1, 1)) == {(1, 1): 1}
-    assert m.apply((2, 2)) == {(2, 2): 1}
-    assert m.apply((1, 2)) == {}
+    assert m.rows.get((1, 1), {}) == {(1, 1): 1}
+    assert m.rows.get((2, 2), {}) == {(2, 2): 1}
+    assert m.rows.get((1, 2), {}) == {}
 
 
 def test_unknown_kinds_rejected():
@@ -170,9 +170,9 @@ def test_cross_id_box_on_comm_is_the_flip():
     m = s_box("cross-id", eps)
     for i, j in basis(3, 2):
         if i != j:
-            assert m.apply((i, j)) == {(j, i): 1}
+            assert m.rows.get((i, j), {}) == {(j, i): 1}
         else:
-            assert m.apply((i, i)) == {(i, i): 1}
+            assert m.rows.get((i, i), {}) == {(i, i): 1}
     assert m == t_pi(CROSS, 3)
 
 
@@ -186,7 +186,7 @@ def test_id_paar_box_on_free():
     m = s_box("id-paar", preset("free", n))
     for i, j in basis(n, 2):
         want = {(k, k): 1 for k in range(1, n + 1)} if i == j else {}
-        assert m.apply((i, j)) == want
+        assert m.rows.get((i, j), {}) == want
 
 
 def test_degenerate_box_identities():
@@ -204,7 +204,7 @@ def test_degenerate_box_identities():
 def test_loop_composition_counts_dimension():
     for n in (2, 3, 5):
         loop = t_pi(BAAR, n) @ t_pi(PAAR, n)
-        assert loop.apply(()) == {(): n}
+        assert loop.rows.get((), {}) == {(): n}
 
 
 def test_cross1_squares_to_idid1():
@@ -226,8 +226,8 @@ def test_identity_is_neutral():
 
 def test_add_scale_cancel():
     f = t_pi(PAAR, 3)
-    assert (f + (-1 * f)).is_zero
-    assert (2 * f).apply(()) == {(1, 1): 2, (2, 2): 2, (3, 3): 2}
+    assert not (f + (-1 * f)).rows
+    assert (2 * f).rows.get((), {}) == {(1, 1): 2, (2, 2): 2, (3, 3): 2}
     assert (Fraction(1, 2) * (2 * f)) == f
 
 
@@ -429,8 +429,8 @@ def test_on_legs_cancels_to_zero():
                                ((2,), (1,), Fraction(-1, 3))])
     other = TensorMap(2, 1, 2, [((1,), (2, 1), Fraction(2, 3)),
                                 ((1,), (2, 2), 1)])
-    assert core.on_legs(1, other).is_zero
-    assert padded(core, 1, other).is_zero
+    assert not core.on_legs(1, other).rows
+    assert not padded(core, 1, other).rows
     whole = TensorMap(2, 1, 1, [((1,), (1,), 2)])
     halved = TensorMap(2, 1, 1, [((1,), (1,), Fraction(1, 2))]).on_legs(0, whole)
     assert type(halved.scalar_at((1,), (1,))) is int
@@ -467,7 +467,7 @@ def test_intertwiner_suite_names_how_a_wrong_map_differs(monkeypatch, wrong, det
     report = intertwiner_identity_suite(preset("ex-d"))
     name = "three-block . paarbaar0 . three-block* = free-neighbour map"
     assert [c.passed for c in report.checks] == [True] * 4 + [False]
-    assert report.first_failure() == CheckResult(name, False, detail)
+    assert next(c for c in report.checks if not c.passed) == CheckResult(name, False, detail)
     assert report.lines()[-1] == f"[FAIL] {name}  ({detail})"
 
 
