@@ -20,43 +20,23 @@ multiplies these factors (stopping at 0, or returning 0 at once for a
 family without blocks of size 1) and sums only over the word's
 repeated labels.
 
-Everything is exact.  This module owns the package's number format:
-:func:`parse_fraction` is the one reader of values from outside and
-:func:`stored` the one storage rule, an ``int`` when the value is
-integral and a ``Fraction`` only when it is not.  It also owns the input
-check that both reports over every word up to a length (moment
-invariance, the de Finetti identity) run first, :func:`check_word_loop`,
-and the package's limit on words, :data:`MATERIALIZE_LIMIT`.
+Everything is exact, in the number format of :mod:`epsym.epsmat`
+(``parse_fraction`` reads, ``stored`` stores).  This module also owns
+the input check that both reports over every word up to a length
+(moment invariance, the de Finetti identity) run first,
+:func:`check_word_loop`, against the word limit ``MATERIALIZE_LIMIT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .epsmat import EpsilonMatrix, check_at_least, validate_index, validate_word
+from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, memo,
+                     parse_fraction, stored, validate_index, validate_word)
 from .partitions import Category, SetPartition, nc_eps_set
-
-
-def stored(c: int | Fraction) -> int | Fraction:
-    """An exact value in stored form: an int when integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def parse_fraction(value) -> int | Fraction:
-    """Read an exact value in stored form: an int, a Fraction, a float by
-    its decimal text (0.1 is 1/10) or a 'p/q' string."""
-    if isinstance(value, bool):  # bool is an int subclass; JSON true is no number
-        raise ValueError("an exact value must be a number or a 'p/q' string, not a boolean")
-    if not isinstance(value, (int, Fraction)):
-        try:
-            value = Fraction(str(value).strip())
-        except ZeroDivisionError:
-            raise ValueError(f"fraction {value!r} has a zero denominator") from None
-    return stored(value)
 
 
 def _norm_row(row) -> tuple[int | Fraction, ...]:
@@ -95,7 +75,7 @@ class CumulantSpec:
         row = self.kappas[v - 1]
         return row[m - 1] if m - 1 < len(row) else 0
 
-    @cached_property
+    @memo
     def integer_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(d, rows): d is the least common denominator of the table and
         ``rows[v-1][m-1]`` the integer kappa_m(v)·d^m."""
@@ -176,7 +156,10 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
     d, rows = spec.integer_table
     # each label that occurs once gives every term the factor kappa_1·d
     factor = 1
-    once = [v for v in vals if vals.count(v) == 1]
+    again: dict[int, bool] = {}  # label -> does it occur more than once
+    for v in vals:
+        again[v] = v in again
+    once = [v for v, more in again.items() if not more]
     if once:
         if not cat.allows(1):
             return 0
@@ -184,7 +167,7 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
             factor *= rows[v - 1][0] if rows[v - 1] else 0
             if not factor:
                 return 0
-        vals = tuple(v for v in vals if vals.count(v) > 1)
+        vals = tuple(v for v in vals if again[v])
     # nc_eps_set yields only refinements of ker i, so kappa_pi's check is
     # skipped; each term times the factor is d^k times the block product
     total = 0
@@ -192,11 +175,6 @@ def moment(i: Sequence[int], eps: EpsilonMatrix, spec: CumulantSpec,
         total += _scaled_block_product(pi.blocks, vals, rows)
     total *= factor
     return total if d == 1 else stored(Fraction(total, d ** k))
-
-
-# Keyed on n**k, the words walked; keyed on n**#blocks map entries, the
-# benchmark's walk-route items (up to 8 blocks at n = 5) would be materialised.
-MATERIALIZE_LIMIT = 10 ** 6
 
 
 def check_word_loop(eps: EpsilonMatrix, spec: CumulantSpec, max_k: int) -> None:

@@ -7,14 +7,21 @@ off-diagonal ones) and ``free`` (all zeros) mark the classical and the
 maximally noncommutative ends of the family; everything in between mixes
 the two regimes.
 
-All indices on the public surface are 1-based.  The rules for words and
-integer arguments live here, and each public entry point applies them once.
+All indices on the public surface are 1-based.  The rules every layer
+shares live here, each applied once per public entry point: words and
+integer arguments, the word limit :data:`MATERIALIZE_LIMIT`, the
+exact-number format (:func:`parse_fraction` reads values from outside,
+:func:`stored` keeps an ``int`` when integral, a ``Fraction`` only when
+not) and the memoised property :class:`memo`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from typing import Callable
 
 Bits = tuple[tuple[int, ...], ...]
 
@@ -165,22 +172,13 @@ def parse_eps_text(text: str) -> EpsilonMatrix:
             raise ValueError(f"line {lineno}, column 1: missing row {r + 1} of {n}")
         line = lines[r + 1]
         row = []
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            col = pos + 1
-            end = pos
-            while end < len(line) and not line[end].isspace():
-                end += 1
-            tok = line[pos:end]
+        for token in re.finditer(r"\S+", line):
+            tok, col = token.group(), token.start() + 1
             if tok not in ("0", "1"):
                 raise ValueError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
             if len(row) == n:
                 raise ValueError(f"line {lineno}, column {col}: more than {n} entries")
             row.append(int(tok))
-            pos = end
         if len(row) != n:
             raise ValueError(f"line {lineno}, column {len(line) + 1}: "
                              f"expected {n} entries, got {len(row)}")
@@ -213,6 +211,11 @@ def validate_word(values, n: int, k: int) -> tuple[int, ...]:
     return vals
 
 
+# Keyed on n**k, the words walked; keyed on n**#blocks map entries, the
+# benchmark's walk-route items (up to 8 blocks at n = 5) would be materialised.
+MATERIALIZE_LIMIT = 10 ** 6
+
+
 def check_int(name: str, value) -> int:
     """The rule for integer arguments: an int, never a bool or a float."""
     if type(value) is not int:
@@ -230,6 +233,39 @@ def check_in_range(name: str, value, low: int, high: int) -> int:
     if not low <= check_int(name, value) <= high:
         raise ValueError(f"{name} must lie in {low}..{high}")
     return value
+
+
+def stored(c: int | Fraction) -> int | Fraction:
+    """An exact value in stored form: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def parse_fraction(value) -> int | Fraction:
+    """Read an exact value in stored form: an int, a Fraction, a float by
+    its decimal text (0.1 is 1/10) or a 'p/q' string."""
+    if isinstance(value, bool):  # bool is an int subclass; JSON true is no number
+        raise ValueError("an exact value must be a number or a 'p/q' string, not a boolean")
+    if not isinstance(value, (int, Fraction)):
+        try:
+            value = Fraction(str(value).strip())
+        except ZeroDivisionError:
+            raise ValueError(f"fraction {value!r} has a zero denominator") from None
+    return stored(value)
+
+
+class memo:
+    """``functools.cached_property`` without the lock that it takes on
+    every first read before Python 3.12: the first read stores the value
+    in the instance ``__dict__``, where later reads find it first."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)

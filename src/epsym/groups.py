@@ -28,14 +28,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .cumulants import CumulantSpec, check_word_loop, moment, parse_fraction
-from .epsmat import EpsilonMatrix, Permutation, check_in_range, validate_index
+from .cumulants import CumulantSpec, check_word_loop, moment
+from .epsmat import (EpsilonMatrix, Permutation, check_in_range, memo, parse_fraction,
+                     validate_index)
 from .report import CheckReport, CheckResult, SuiteReport
 
 Mat = tuple[tuple[int | Fraction, ...], ...]
@@ -94,8 +95,7 @@ def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
             used[w] = False
         image[p] = 0
 
-    extend(1)
-    found.sort(key=lambda s: s.images)
+    extend(1)  # tries images in increasing order: found is in lexicographic order
     return PermGroup(n, tuple(found))
 
 
@@ -220,7 +220,7 @@ class CoxeterRep:
     def generator(self, k: int) -> tuple[Mat, ...]:
         return self.gens[k - 1]
 
-    @cached_property
+    @memo
     def moves(self) -> tuple[tuple[tuple[int, Mat], ...], ...]:
         """For each generator, the (pair index, block) of every plane it moves."""
         return tuple(tuple((pi, g) for pi, g in enumerate(row) if g != _I2)
@@ -382,11 +382,11 @@ class Representation:
         check_in_range("column index", j, 1, self.n)
         return self.blocks[i - 1][j - 1]
 
-    @cached_property
+    @memo
     def _id(self) -> Mat:
         return tuple(tuple(int(r == c) for c in range(self.d)) for r in range(self.d))
 
-    @cached_property
+    @memo
     def _zero(self) -> Mat:
         return ((0,) * self.d,) * self.d
 

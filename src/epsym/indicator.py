@@ -42,14 +42,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .cumulants import (MATERIALIZE_LIMIT, CumulantSpec, _scaled_kappa,
-                        check_word_loop, moment)
-from .epsmat import EpsilonMatrix, check_at_least, check_in_range, validate_word
-from .partitions import (Category, SetPartition, enumerate_partitions,
-                         find_case2_index, find_noncrossing_subpartition,
-                         in_nc_eps)
+from .cumulants import CumulantSpec, _scaled_kappa, check_word_loop, moment
+from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, check_in_range,
+                     validate_word)
+from .partitions import (Category, SetPartition, TwoRowPartition, enumerate_partitions,
+                         find_case2_index, find_noncrossing_subpartition, in_nc_eps)
 from .report import CheckReport
-from .tensormaps import Label, TensorMap, TwoRowPartition, r_map, t_pi
+from .tensormaps import Label, TensorMap, r_map, t_pi
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,10 @@ class AlgorithmTrace:
 
 
 def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
-    # cap converts a nontermination bug into a diagnosable error
-    cap = pi.k * pi.k * len(pi.crossing_pairs) + pi.k
+    # A swap lowers by one the count of point pairs p < q whose block starts
+    # after q's, and a removal only drops points: at most k(k-1)/2 swaps and
+    # k removals.  The cap turns a nontermination bug into a diagnosable error.
+    cap = pi.k * (pi.k + 1) // 2
     steps: list[Step] = []
     cur = pi
     while cur.k > 0:
@@ -236,7 +237,7 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
     trace, mp = run_algorithm(pi, eps, cat, n)
     k = pi.k
     if sample is None:
-        if n ** k > MATERIALIZE_LIMIT:
+        if mp is None:
             raise ValueError("space too large to enumerate; pass sample=")
         support = _support(pi, eps, n)
         rows, one = mp.rows, {(): 1}

@@ -1,12 +1,12 @@
 """Set partitions and the mixed-commutation crossing analysis.
 
-Partitions of {1..k} are kept in a canonical form (blocks sorted by their
-minimum, elements ascending inside each block) so that structural
-equality and enumeration order are stable.  :meth:`SetPartition.of`
-checks and sorts what it is given; the constructor refuses anything
-not canonical in one line, and the module's own builders, whose blocks
-are canonical by construction, skip that check.  Enumeration follows
-restricted-growth-string lexicographic order.
+Partitions of {1..k} are kept in a canonical form (points ascending in
+each block, blocks in tuple order: by minimum, as blocks are disjoint) so
+that structural equality and enumeration order are stable.
+:meth:`SetPartition.of` checks and sorts what it is given; the constructor
+refuses anything not canonical in one line, and the module's own builders,
+whose blocks are canonical by construction, skip that check.  Enumeration
+follows restricted-growth-string lexicographic order.
 
 The central predicate is pattern-aware noncrossingness: a partition may
 cross itself only where the commutation pattern allows it.  Writing
@@ -44,29 +44,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .epsmat import (EpsilonMatrix, check_in_range, check_int, validate_index,
+from .epsmat import (EpsilonMatrix, check_in_range, check_int, memo, validate_index,
                      validate_word)
 
 Block = tuple[int, ...]
-
-
-def _least(b: Block) -> int:
-    return b[0] if b else 0
-
-
-class _memo:
-    """``functools.cached_property`` without the lock that it takes on
-    every first read before Python 3.12: the first read stores the value
-    in the instance ``__dict__``, where later reads find it first."""
-
-    def __init__(self, compute: Callable):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,7 @@ class SetPartition:
         if type(blocks) is not tuple or not all(type(b) is tuple for b in blocks):
             raise ValueError("blocks must be a tuple of tuples")
         _check_points(self.k, blocks)
-        if blocks != tuple(sorted((tuple(sorted(b)) for b in blocks), key=_least)):
+        if blocks != tuple(sorted(tuple(sorted(b)) for b in blocks)):
             raise ValueError(f"blocks {blocks} are not in canonical order: "
                              "by least point, ascending inside each")
 
@@ -94,9 +75,9 @@ class SetPartition:
                 raise ValueError(f"block {b!r} is not a collection of points")
             raw.append(tuple(b))
         _check_points(k, raw)
-        return _trusted(k, tuple(sorted((tuple(sorted(b)) for b in raw), key=_least)))
+        return _trusted(k, tuple(sorted(tuple(sorted(b)) for b in raw)))
 
-    @_memo
+    @memo
     def owner(self) -> tuple[int, ...]:
         """For each point (0-based slot), the index of its block."""
         own = [0] * self.k
@@ -105,7 +86,7 @@ class SetPartition:
                 own[p - 1] = bi
         return tuple(own)
 
-    @_memo
+    @memo
     def crossing_blocks(self) -> tuple[tuple[int, int], ...]:
         """The index pairs (a, b), a < b, of crossing blocks, sorted.
 
@@ -124,7 +105,7 @@ class SetPartition:
                     pairs.append((ai, bi))  # else b lies in one gap of a
         return tuple(pairs)
 
-    @_memo
+    @memo
     def crossing_pairs(self) -> tuple[tuple[int, int], ...]:
         """All point pairs (p1, q1) that open a crossing, sorted.
 
@@ -195,8 +176,8 @@ class SetPartition:
         if self.owner[l - 1] == self.owner[l]:
             return self
         mv = {l: l + 1, l + 1: l}
-        return _trusted(self.k, tuple(sorted(
-            (tuple(mv.get(x, x) for x in b) for b in self.blocks), key=_least)))
+        return _trusted(self.k, tuple(sorted(tuple(mv.get(x, x) for x in b)
+                                             for b in self.blocks)))
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -252,7 +233,7 @@ class TwoRowPartition:
     underlying: SetPartition
 
     def __post_init__(self):
-        if self.k < 0 or self.l < 0:
+        if check_int("k", self.k) < 0 or check_int("l", self.l) < 0:
             raise ValueError(f"row sizes {self.k} and {self.l} must be nonnegative")
         if self.k + self.l != self.underlying.k:
             raise ValueError(f"rows of {self.k} and {self.l} points need a partition "

@@ -4,8 +4,8 @@ Basis vectors of the k-th tensor power are labelled by k-tuples over
 {1..n}; the 0-th power is the scalars with the empty tuple as its basis
 label.  A map stores only its nonzero rational coefficients, keyed by
 (input label, output label), so compositions at sixteen tensor legs with
-small n stay cheap.  Coefficients follow :mod:`epsym.cumulants`'
-number format (``stored``, read by ``parse_fraction``); ``add_entry``
+small n stay cheap.  Coefficients follow :mod:`epsym.epsmat`'s number
+format (``stored``, read by ``parse_fraction``); ``add_entry``
 normalises every value it stores, so equal maps have equal tables.
 
 ``core.on_legs(left, other)`` applies ``core`` to the window of legs
@@ -42,8 +42,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cumulants import parse_fraction, stored
-from .epsmat import EpsilonMatrix, check_in_range
+from .epsmat import EpsilonMatrix, check_in_range, parse_fraction, stored
 from .partitions import TwoRowPartition
 from .report import CheckResult, SuiteReport
 
@@ -103,9 +102,6 @@ class TensorMap:
             return NotImplemented
         return (self.n, self.k_in, self.k_out) == (other.n, other.k_in, other.k_out) \
             and self.rows == other.rows
-
-    def __hash__(self):
-        raise TypeError("TensorMap is not hashable")
 
     def __repr__(self):
         return (f"TensorMap(n={self.n}, {self.k_in}->{self.k_out}, "

@@ -13,9 +13,10 @@ and a quadratic lex-least selection, a word's reflection-representation
 action by a plane-by-plane product, a two-row partition's row swap by
 relabelling its points, the tensor maps as coefficient tables by brute
 force over all label pairs, the indicator check vector by vector, a
-group's closure by iterating over all pairs, and its greedy generating
+group's closure by iterating over all pairs, its greedy generating
 set by regrowing the whole span on both sides after every new
-generator.
+generator, and the pattern text format by a character-by-character
+scanner.
 """
 
 from bisect import bisect_left
@@ -586,3 +587,50 @@ def free_moment(i, spec) -> Fraction:
         if ok:
             total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# the pattern text format, scanned character by character
+
+def scanned_eps_rows(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The size and bit rows of the plain text pattern format, read by a
+    hand-written scanner: a token runs between ``str.isspace``
+    characters.  Raises ``parse_eps_text``'s ValueError messages, with
+    1-based line and column; the rows are not checked as a pattern."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError("line 1, column 1: missing size line")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise ValueError("line 1, column 1: size must be an integer") from None
+    if n < 1:
+        raise ValueError("line 1, column 1: size must be positive")
+    rows = []
+    for r in range(n):
+        lineno = r + 2
+        if r + 1 >= len(lines):
+            raise ValueError(f"line {lineno}, column 1: missing row {r + 1} of {n}")
+        line = lines[r + 1]
+        row = []
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            col = pos + 1
+            end = pos
+            while end < len(line) and not line[end].isspace():
+                end += 1
+            tok = line[pos:end]
+            if tok not in ("0", "1"):
+                raise ValueError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
+            if len(row) == n:
+                raise ValueError(f"line {lineno}, column {col}: more than {n} entries")
+            row.append(int(tok))
+            pos = end
+        if len(row) != n:
+            raise ValueError(f"line {lineno}, column {len(line) + 1}: "
+                             f"expected {n} entries, got {len(row)}")
+        rows.append(tuple(row))
+    return n, tuple(rows)

@@ -246,6 +246,22 @@ def test_moment_with_labels_that_occur_once_matches_fraction_sum(pattern, cat):
                 assert got == 0 and type(got) is int
 
 
+@pytest.mark.parametrize("cat", list(Category), ids=lambda c: c.value)
+@pytest.mark.parametrize("pattern", [("ex-d",), ("ex-f",), ("comm", 4), ("free", 3),
+                                     ("block", 2, 2)], ids=lambda p: "".join(map(str, p)))
+def test_moment_with_a_label_three_times_among_labels_once(pattern, cat):
+    # the three-times label stays in the sum; its neighbours factor out
+    eps = preset(*pattern)
+    rows = [[v, 2, -v, 3] for v in range(1, eps.n + 1)]
+    spec = CumulantSpec.of(rows)
+    for a in range(1, eps.n + 1):
+        b, c = [v for v in range(1, eps.n + 1) if v != a][:2]
+        for word in [(b, a, a, c, a), (a, b, a, a, c), (a, a, b, c, a), (b, a, c, a, a, b)]:
+            want = oracles.naive_moment(word, eps, rows, cat)
+            assert moment(word, eps, spec, cat) == want, word
+            assert want != 0 or cat is not Category.ALL, word
+
+
 def test_moment_errors_survive_the_singleton_factor():
     # the whole word is checked before any label is factored out
     spec = CumulantSpec.semicircle(4)
@@ -387,6 +403,16 @@ def test_spec_json_round_trip():
     data = json.loads(json.dumps(spec.to_json()))
     assert CumulantSpec.from_json(data) == spec
     assert data["kappas"][0] == ["1/2", "1"]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: CumulantSpec.of([]), "need at least one coordinate", id="of-empty"),
+    pytest.param(lambda: SEMI(2).kappa(0, 2), "coordinate 0 outside 1..2", id="kappa-0"),
+    pytest.param(lambda: SEMI(2).kappa(3, 2), "coordinate 3 outside 1..2", id="kappa-3"),
+])
+def test_spec_refusals(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 def test_parse_fraction():

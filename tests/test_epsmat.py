@@ -1,8 +1,10 @@
+import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from epsym.epsmat import (EpsilonMatrix, Permutation, format_eps_text,
                           make_epsilon, parse_eps_text, preset, validate_index)
 from epsym.partitions import SetPartition, kernel
@@ -191,6 +193,65 @@ def test_eps_text_parse_error_reports_line_and_column():
         parse_eps_text("2\n0 1\n")
     with pytest.raises(ValueError, match=r"line 1"):
         parse_eps_text("two\n")
+
+
+# separators str.isspace accepts, \x1c-\x1e also splitting lines; tokens
+# that are no bit, or run several characters
+_SEPARATORS = (" ", "  ", "\t", " \t", "\x1c", "\x1f", "\x0b", "\u3000")
+_TOKENS = ("x", "10", "01", "1.0", "-", "0x1", "\u00e9")
+
+
+def _fuzzed_eps_text(rng: random.Random) -> str:
+    """A pattern's text, mutated: odd separators, bad or multi-character
+    tokens, short and long rows, missing rows, a bad size line."""
+    n = rng.randint(1, 4)
+    bits = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bits[i][j] = bits[j][i] = rng.randint(0, 1)
+    lines = [rng.choice((f" {n}\t", "", "x", "0", "-2", str(n + 1)))
+             if rng.random() < 0.2 else str(n)]
+    for row in bits:
+        tokens = [str(b) for b in row]
+        if rng.random() < 0.2:
+            tokens[rng.randrange(n)] = rng.choice(_TOKENS)
+        if rng.random() < 0.15:
+            del tokens[rng.randrange(len(tokens))]
+        if rng.random() < 0.15:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice("01"))
+        sep = rng.choice(_SEPARATORS)
+        lines.append(rng.choice(("", " ", "\t")) + sep.join(tokens) + rng.choice(("", " ")))
+    if rng.random() < 0.15:
+        del lines[rng.randint(1, len(lines)):]
+    return "\n".join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_eps_text_parse_matches_the_scanner_oracle():
+    shapes = set()
+    rng = random.Random(1603)
+    for _ in range(3000):
+        text = _fuzzed_eps_text(rng)
+        got = _parse_outcome(parse_eps_text, text)
+        want = _parse_outcome(lambda t: make_epsilon(*oracles.scanned_eps_rows(t)), text)
+        assert got == want, repr(text)
+        shapes.add(re.sub(r"\d+|'.*'", "#", got) if isinstance(got, str) else "pattern")
+    # every outcome of the format occurs among the fuzzed texts
+    assert shapes >= {
+        "pattern", "ValueError: line #, column #: missing size line",
+        "ValueError: line #, column #: size must be an integer",
+        "ValueError: line #, column #: size must be positive",
+        "ValueError: line #, column #: missing row # of #",
+        "ValueError: line #, column #: expected # or #, got #",
+        "ValueError: line #, column #: more than # entries",
+        "ValueError: line #, column #: expected # entries, got #",
+        "ValueError: matrix is not symmetric at (#,#)"}, sorted(shapes)
 
 
 def test_validate_index():

@@ -512,3 +512,20 @@ def test_representation_rejects_empty_input():
     with pytest.raises(ValueError, match=r"^blocks must be at least 1x1$"):
         Representation.of([[[]]])
     assert Representation.of([[[[1]]]]).d == 1
+
+
+@pytest.mark.parametrize("blocks,message", [
+    pytest.param([[[[1]], [[0]]]], "block matrix must be square", id="one-row-two-columns"),
+    pytest.param([[[[1]], [[0]]], [[[0]]]], "block matrix must be square", id="short-row"),
+    pytest.param([[[[1]], [[0, 0], [0, 0]]], [[[0]], [[1]]]],
+                 "all blocks must share one dimension", id="1x1-and-2x2"),
+    pytest.param([[[[1, 0], [0]]]], "all blocks must share one dimension", id="ragged-block"),
+])
+def test_representation_rejects_misshapen_blocks(blocks, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Representation.of(blocks)
+
+
+def test_permutations_compose_only_at_one_size():
+    with pytest.raises(ValueError, match=r"^size mismatch$"):
+        Permutation.identity(2).compose(Permutation.identity(3))

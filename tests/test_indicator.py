@@ -137,6 +137,28 @@ def test_trace_shapes_and_monotone_points():
         assert trace.steps == () or trace.steps[-1].result.k == 0
 
 
+def inversions(pi: SetPartition) -> int:
+    """Point pairs p < q whose block starts after q's block starts."""
+    own = pi.owner  # blocks are indexed in order of their least point
+    return sum(own[p] > own[q] for q in range(pi.k) for p in range(q))
+
+
+def test_reduction_steps_stay_within_the_proven_bound():
+    # a swap lowers the inversion count by exactly one and a removal never
+    # raises it, so a trace has at most k(k-1)/2 swaps and k removals
+    eps = preset("comm", 1)
+    for k in range(9):
+        for pi in enumerate_partitions(k):
+            steps = run_algorithm(pi, eps, Category.ALL, 1)[0].steps
+            before = pi
+            for st in steps:
+                drop = inversions(before) - inversions(st.result)
+                assert drop == 1 if st.case == 2 else drop >= 0, (pi, st)
+                before = st.result
+            assert sum(st.case == 2 for st in steps) <= inversions(pi)
+            assert len(steps) <= k * (k + 1) // 2
+
+
 def test_figure_partition_trace():
     for eps in (preset("comm", 16), preset("free", 16)):
         trace, mp = run_algorithm(FIGURE, eps, Category.ALL, 2)

@@ -1,9 +1,10 @@
-"""Each epsym module imports only modules of lower layers, and
-nothing outside the standard library and epsym itself.
+"""Each epsym module imports only modules of lower layers, each name
+from the module that defines it, and nothing outside the standard
+library and epsym itself.
 
-Layers, lowest first: report and epsmat; partitions; cumulants;
-tensormaps; groups and indicator; cli.  The package's ``__init__``
-re-exports everything and is not layered.
+Layers, lowest first: report and epsmat; partitions; cumulants and
+tensormaps, neither importing the other; groups and indicator; cli.
+The package's ``__init__`` re-exports everything and is not layered.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "epsym"
 
-LAYERS = [("report", "epsmat"), ("partitions",), ("cumulants",), ("tensormaps",),
+LAYERS = [("report", "epsmat"), ("partitions",), ("cumulants", "tensormaps"),
           ("groups", "indicator"), ("cli",)]
 LAYER = {mod: depth for depth, mods in enumerate(LAYERS) for mod in mods}
 
@@ -63,3 +64,25 @@ def top_level_imports(path: Path) -> set[str]:
 def test_module_imports_only_stdlib_and_epsym(path):
     outside = top_level_imports(path) - set(sys.stdlib_module_names) - {"epsym"}
     assert not outside, f"{path.stem} imports {sorted(outside)}, which are not stdlib"
+
+
+def defined_names(path: Path) -> set[str]:
+    """The names a source file binds at top level itself, not by import."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return found
+
+
+@pytest.mark.parametrize("module", list(LAYER))
+def test_module_imports_each_name_from_its_owner(module):
+    borrowed = [f"{alias.name} from {node.module}"
+                for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names
+                if alias.name not in defined_names(SRC / f"{node.module}.py")]
+    assert not borrowed, f"{module} imports {borrowed}, defined elsewhere"

@@ -686,3 +686,14 @@ def test_two_row_partition_checks_its_shape(k, l, text):
     with pytest.raises(ValueError) as info:
         TwoRowPartition(k, l, P(text))
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("k,l,message", [
+    pytest.param(True, 1, "k must be an integer, got True", id="k-True"),
+    pytest.param(1, True, "l must be an integer, got True", id="l-True"),
+    pytest.param(1.0, 1.0, "k must be an integer, got 1.0", id="floats"),
+    pytest.param(1, 1.0, "l must be an integer, got 1.0", id="l-float"),
+])
+def test_two_row_partition_sizes_follow_the_integer_rule(k, l, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        TwoRowPartition(k, l, P("{1,2}"))

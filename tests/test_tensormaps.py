@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -279,6 +280,32 @@ def test_shape_errors():
         f + g
     with pytest.raises(ValueError):
         f.add_entry((1,), (3, 1), Fraction(1))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: TensorMap(0, 1, 1), "need n >= 1 and nonnegative degrees", id="n-0"),
+    pytest.param(lambda: TensorMap(2, -1, 1), "need n >= 1 and nonnegative degrees",
+                 id="k_in-negative"),
+    pytest.param(lambda: TensorMap(2, 1, -1), "need n >= 1 and nonnegative degrees",
+                 id="k_out-negative"),
+    pytest.param(lambda: TensorMap(2, 1, 1).add_entry((1, 1), (1,), 1),
+                 "label length does not match the degree", id="add_entry-long-input"),
+    pytest.param(lambda: TensorMap(2, 1, 1).add_entry((1,), (), 1),
+                 "label length does not match the degree", id="add_entry-short-output"),
+    pytest.param(lambda: TensorMap.identity(2, 1) @ TensorMap.identity(3, 1),
+                 "base dimensions differ", id="matmul"),
+    pytest.param(lambda: TensorMap.identity(2, 1).tensor(TensorMap.identity(3, 1)),
+                 "base dimensions differ", id="tensor"),
+])
+def test_map_refusals(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()
+
+
+def test_maps_are_unhashable():
+    # a class that defines __eq__ alone gets __hash__ = None
+    with pytest.raises(TypeError, match=r"^unhashable type: 'TensorMap'$"):
+        hash(TensorMap.identity(2, 1))
 
 
 def test_json_round_trip_and_ordering():
