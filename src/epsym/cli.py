@@ -1,5 +1,7 @@
 """Command-line front end.  One verb per library capability.
 
+:func:`main` loads the pattern of every verb that takes ``--preset`` or
+``--eps-file`` and passes it to the verb with the parsed arguments.
 Each verb returns its exit code, a builder for its JSON and its text
 lines; only :func:`main` prints one of the two, so a form is built only
 when it is printed.  Exit codes: 0 success / verification passed,
@@ -26,19 +28,6 @@ from .partitions import (Category, enumerate_partitions, format_partition,
                          nc_eps_set, parse_partition)
 from .report import CheckResult, SuiteReport
 from .tensormaps import box_calculus_suite, intertwiner_identity_suite
-
-
-def _add_eps_args(p: argparse.ArgumentParser, n_is_dim: bool = False) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--preset", help="named pattern (comm, free, block, ex-d, "
-                                    "ex-e, ex-f, trivial6, ...)")
-    g.add_argument("--eps-file", help="path to a pattern in the text format")
-    size_help = "size for comm/free, first size for block"
-    if n_is_dim:
-        p.add_argument("--size", type=int, help=f"{size_help} (defaults to --n)")
-    else:
-        p.add_argument("--n", type=int, help=size_help)
-    p.add_argument("--m", type=int, help="second size for the block preset")
 
 
 def _load_eps(args) -> EpsilonMatrix:
@@ -81,8 +70,7 @@ def _report(report):
     return 0 if report.passed else 1, report.to_json, report.lines()
 
 
-def _cmd_show_eps(args):
-    eps = _load_eps(args)
+def _cmd_show_eps(args, eps):
     return 0, eps.to_json, format_eps_text(eps).splitlines()
 
 
@@ -91,43 +79,39 @@ def _partitions(parts):
         chain(map(format_partition, parts), (f"total: {len(parts)}",))
 
 
-def _cmd_partitions(args):
+def _cmd_partitions(args, _):
     cat = Category.parse(args.cat)
     return _partitions(enumerate_partitions(args.k, cat, noncrossing_only=args.noncrossing))
 
 
-def _cmd_ncset(args):
-    eps = _load_eps(args)
+def _cmd_ncset(args, eps):
     i = _parse_csv_ints(args.index)
     return _partitions(nc_eps_set(i, eps, Category.parse(args.cat)))
 
 
-def _cmd_moment(args):
-    eps = _load_eps(args)
+def _cmd_moment(args, eps):
     spec = _load_kappa(args, eps)
     i = _parse_csv_ints(args.index)
     value = moment(i, eps, spec, Category.parse(args.cat))
     return 0, lambda: {"index": list(i), "moment": str(value)}, (str(value),)
 
 
-def _cmd_exchangeability(args):
-    eps = _load_eps(args)
+def _cmd_exchangeability(args, eps):
     spec = _load_kappa(args, eps)
     return _report(check_eps_exchangeability(eps, spec, args.max_k))
 
 
-def _cmd_tneps(args):
-    group = automorphism_group(_load_eps(args))
+def _cmd_tneps(args, eps):
+    group = automorphism_group(eps)
     return 0, group.to_json, chain((f"order: {group.order}",),
                                    (",".join(map(str, g.images)) for g in group.elements))
 
 
-def _cmd_coxeter_check(args):
-    return _report(check_coxeter_rep(_load_eps(args)))
+def _cmd_coxeter_check(args, eps):
+    return _report(check_coxeter_rep(eps))
 
 
-def _cmd_word(args):
-    eps = _load_eps(args)
+def _cmd_word(args, eps):
     w1 = _parse_csv_ints(args.word)
     nf1 = word_reduce(w1, eps)
     if args.word2 is None:
@@ -141,8 +125,7 @@ def _cmd_word(args):
         ("EQUAL" if equal else "DIFFERENT",)
 
 
-def _cmd_rep_check(args):
-    eps = _load_eps(args)
+def _cmd_rep_check(args, eps):
     if args.rep == "projection-pair":
         u = projection_pair_representation()
     elif args.rep.startswith("perm:"):
@@ -158,8 +141,7 @@ def _cmd_rep_check(args):
     return code, as_json, lines
 
 
-def _cmd_intertwiner_suite(args):
-    eps = _load_eps(args)
+def _cmd_intertwiner_suite(args, eps):
     first, second = intertwiner_identity_suite(eps), box_calculus_suite(eps)
     code, _, lines = _report(SuiteReport(first.checks + second.checks))
     return code, lambda: {"identities": first.to_json(), "products": second.to_json()}, lines
@@ -175,16 +157,14 @@ def _trace_lines(pi, trace):
     yield f"steps: {len(trace.steps)}"
 
 
-def _cmd_mpi_run(args):
-    eps = _load_eps(args)
+def _cmd_mpi_run(args, eps):
     pi = parse_partition(args.partition)
     dim = args.n if args.n is not None else eps.n
     trace, _ = run_algorithm(pi, eps, Category.parse(args.cat), dim)
     return 0, trace.to_json, _trace_lines(pi, trace)
 
 
-def _cmd_mpi_verify(args):
-    eps = _load_eps(args)
+def _cmd_mpi_verify(args, eps):
     cat = Category.parse(args.cat)
     dim = args.n if args.n is not None else eps.n
     check_sample(args.sample)
@@ -204,8 +184,7 @@ def _cmd_mpi_verify(args):
         (f"PASS ({len(pis)} partitions, {total} basis vectors)",)
 
 
-def _cmd_definetti(args):
-    eps = _load_eps(args)
+def _cmd_definetti(args, eps):
     spec = _load_kappa(args, eps)
     return _report(definetti_identity_report(eps, Category.parse(args.cat), spec,
                                              args.max_k))
@@ -262,7 +241,7 @@ _PAPER_EXAMPLES = (
 )
 
 
-def _cmd_paper_examples(args):
+def _cmd_paper_examples(args, _):
     suite = SuiteReport(tuple(CheckResult(label, bool(check()))
                               for label, check in _PAPER_EXAMPLES))
     code, _, lines = _report(suite)
@@ -299,10 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact calculus for partial-commutation symmetries")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *options, under=sub, eps_args=True, n_is_dim=False, **kw):
+    def add(name, fn, *options, under=sub, eps_args=True, **kw):
         p = under.add_parser(name, **kw)
-        if eps_args:
-            _add_eps_args(p, n_is_dim)
+        if eps_args:  # under mpi, --n is the base dimension (see _SHARED)
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--preset", help="named pattern (comm, free, block, ex-d, "
+                                            "ex-e, ex-f, trivial6, ...)")
+            g.add_argument("--eps-file", help="path to a pattern in the text format")
+            size, note = ("--n", "") if under is sub else ("--size", " (defaults to --n)")
+            p.add_argument(size, type=int,
+                           help=f"size for comm/free, first size for block{note}")
+            p.add_argument("--m", type=int, help="second size for the block preset")
         for option in options:
             flag, own = (option, {}) if isinstance(option, str) else option
             p.add_argument(flag, **{**_SHARED.get(flag, {}), **own})
@@ -338,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     mpi_sub = mpi.add_subparsers(dest="mpi_verb", required=True)
     plain_json = _opt("--json", help=None)
     add("run", _cmd_mpi_run, _opt("--partition", required=True, help="e.g. '{1,3}{2,4}'"),
-        "--cat", "--n", plain_json, under=mpi_sub, n_is_dim=True,
-        help="print the reduction trace")
+        "--cat", "--n", plain_json, under=mpi_sub, help="print the reduction trace")
     add("verify", _cmd_mpi_verify, _opt("--partition"),
         _opt("--k", type=int, help="verify every family partition of k points"),
         "--cat", "--n", _opt("--sample", type=int, help="sample this many basis vectors"),
-        plain_json, under=mpi_sub, n_is_dim=True, help="oracle check of the composed map")
+        plain_json, under=mpi_sub, help="oracle check of the composed map")
 
     add("definetti", _cmd_definetti, "--json", "--kappa", "--cat", "--max-k",
         help="indicator-weighted cumulant sums reproduce moments")
@@ -359,8 +344,8 @@ def main(argv=None) -> int:
             print(f"error: --{name.replace('_', '-')} needs a value, got '--'",
                   file=sys.stderr)
             return 2
-    try:  # a verb returns (exit code, JSON builder, text lines); only this prints
-        code, as_json, lines = args.fn(args)
+    try:  # a verb gets the pattern loaded here; only this prints
+        code, as_json, lines = args.fn(args, _load_eps(args) if "preset" in args else None)
         if args.json:
             print(json.dumps(as_json(), indent=2, sort_keys=True))
         else:

@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, memo,
-                     parse_fraction, stored, validate_index, validate_word)
+from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, check_int,
+                     memo, parse_fraction, stored, validate_index, validate_word)
 from .partitions import Category, SetPartition, nc_eps_set
 
 
@@ -70,10 +70,10 @@ class CumulantSpec:
         return cls.of([tuple(row)] * n)
 
     def kappa(self, v: int, m: int) -> int | Fraction:
-        if not 1 <= v <= self.n:
+        if not 1 <= check_int("coordinate", v) <= self.n:
             raise ValueError(f"coordinate {v} outside 1..{self.n}")
         row = self.kappas[v - 1]
-        return row[m - 1] if m - 1 < len(row) else 0
+        return row[m - 1] if check_at_least("order", m, 1) <= len(row) else 0
 
     @memo
     def integer_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -103,7 +103,7 @@ class CumulantSpec:
                 isinstance(row, list) for row in data["kappas"]):
             raise ValueError("'kappas' must be a list of rows, each a list")
         spec = cls.of(data["kappas"])
-        if spec.n != data["n"]:
+        if spec.n != check_int("n", data["n"]):
             raise ValueError("row count does not match n")
         return spec
 

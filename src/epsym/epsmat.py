@@ -28,10 +28,33 @@ Bits = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class EpsilonMatrix:
-    """A validated commutation pattern.  Build through :func:`make_epsilon`."""
+    """A commutation pattern; :func:`make_epsilon` builds one from any rows.
+
+    Raises ValueError with a distinct message for each violation: wrong
+    shape, non-bit entry, nonzero diagonal, broken symmetry.
+    """
 
     n: int
     entries: Bits
+
+    def __post_init__(self):
+        n, rows = self.n, self.entries
+        if check_int("size", n) < 1:
+            raise ValueError("size must be a positive integer")
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected a {n}x{n} array of entries")
+        for i in range(n):
+            for j in range(n):
+                v = rows[i][j]
+                if v not in (0, 1):
+                    raise ValueError(f"entry ({i + 1},{j + 1}) must be 0 or 1, got {v!r}")
+        for i in range(n):
+            if rows[i][i] != 0:
+                raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be 0")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -45,29 +68,9 @@ class EpsilonMatrix:
 
 
 def make_epsilon(n: int, entries) -> EpsilonMatrix:
-    """Validate ``entries`` as an n-by-n commutation pattern.
-
-    Raises ValueError with a distinct message for each violation: wrong
-    shape, non-bit entry, nonzero diagonal, broken symmetry.
-    """
-    if check_int("size", n) < 1:
-        raise ValueError("size must be a positive integer")
-    rows = tuple(tuple(r) for r in entries)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"expected a {n}x{n} array of entries")
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if v not in (0, 1):
-                raise ValueError(f"entry ({i + 1},{j + 1}) must be 0 or 1, got {v!r}")
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be 0")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
-    return EpsilonMatrix(n, rows)
+    """The n-by-n commutation pattern with these rows, as tuples; the
+    pattern checks itself."""
+    return EpsilonMatrix(n, tuple(tuple(r) for r in entries))
 
 
 # Fixed patterns are embedded verbatim as data, never generated, so the
@@ -276,7 +279,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(1, self.n + 1)):
+        # equal to 1..n once sorted, and ints: True and 1.0 equal 1
+        if sorted(self.images) != list(range(1, check_int("n", self.n) + 1)) or \
+                not set(map(type, self.images)) <= {int}:
             raise ValueError("images must be a bijection of 1..n")
 
     def __call__(self, p: int) -> int:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .epsmat import EpsilonMatrix, check_in_range, parse_fraction, stored
+from .epsmat import EpsilonMatrix, check_in_range, check_int, parse_fraction, stored
 from .partitions import TwoRowPartition
 from .report import CheckResult, SuiteReport
 
@@ -56,7 +56,8 @@ class TensorMap:
 
     def __init__(self, n: int, k_in: int, k_out: int,
                  entries: Iterable[tuple[Sequence[int], Sequence[int], Fraction]] = ()):
-        if n < 1 or k_in < 0 or k_out < 0:
+        if check_int("n", n) < 1 or \
+                min(check_int("k_in", k_in), check_int("k_out", k_out)) < 0:
             raise ValueError("need n >= 1 and nonnegative degrees")
         self.n = n
         self.k_in = k_in
@@ -66,15 +67,12 @@ class TensorMap:
             self.add_entry(tuple(i), tuple(j), c)
 
     def add_entry(self, i: Label, j: Label, c: int | Fraction) -> None:
-        """Add ``c`` to the coefficient at (i, j); an int or Fraction is
-        taken as it is, any other value (a boolean is refused) read by
-        ``parse_fraction``."""
+        """Add ``c``, read by ``parse_fraction``, to the coefficient at (i, j)."""
         if len(i) != self.k_in or len(j) != self.k_out:
             raise ValueError("label length does not match the degree")
         if any(not 1 <= v <= self.n for v in i + j):
             raise ValueError("label entry outside 1..n")
-        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-            c = parse_fraction(c)
+        c = parse_fraction(c)
         if c == 0:
             return
         row = self.rows.setdefault(i, {})
@@ -215,7 +213,7 @@ class TensorMap:
     def from_json(cls, data: dict) -> "TensorMap":
         out = cls(data["n"], data["k_in"], data["k_out"])
         for e in data["entries"]:
-            out.add_entry(tuple(e["in"]), tuple(e["out"]), parse_fraction(e["c"]))
+            out.add_entry(tuple(e["in"]), tuple(e["out"]), e["c"])
         return out
 
 

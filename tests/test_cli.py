@@ -404,6 +404,15 @@ def test_refusal_prints_its_one_line(tmp_path, capsys, argv, text, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_kappa_file_size_follows_the_integer_rule(tmp_path, capsys):
+    # JSON true used to pass as a one-row table and print 7/12
+    path = tmp_path / "kappa.json"
+    path.write_text('{"n": true, "kappas": [["1/2", "1/3"]]}')
+    assert run_cli(capsys, "moment", "--preset", "free", "--n", "1", "--index", "1,1",
+                   "--kappa", f"file:{path}") == \
+        (2, "", "error: n must be an integer, got True\n")
+
+
 def test_determinism_byte_identical(capsys):
     args = ("tneps", "--preset", "ex-e", "--json")
     _, out1, _ = run_cli(capsys, *args)

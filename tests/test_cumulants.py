@@ -415,6 +415,31 @@ def test_spec_refusals(call, message):
         call()
 
 
+@pytest.mark.parametrize("v,m,message", [
+    pytest.param(1, 0, "order must be at least 1, got 0", id="order-0"),
+    pytest.param(1, -1, "order must be at least 1, got -1", id="order-negative"),
+    pytest.param(True, 2, "coordinate must be an integer, got True", id="coordinate-True"),
+    pytest.param(1, True, "order must be an integer, got True", id="order-True"),
+])
+def test_kappa_refuses_orders_below_one_and_booleans(v, m, message):
+    # order 0 used to read kappa_2 from the end of the row, order -1 kappa_1
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        SEMI(2).kappa(v, m)
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param({"n": True, "kappas": [["1/2", "1/3"]]},
+                 "n must be an integer, got True", id="n-True"),
+    pytest.param({"n": 2.0, "kappas": [["1/2", "1/3"], ["1/2", "3/4"]]},
+                 "n must be an integer, got 2.0", id="n-2.0"),
+    pytest.param({"n": 3, "kappas": [["1/2", "1/3"]]}, "row count does not match n",
+                 id="n-3-one-row"),
+])
+def test_spec_json_size_follows_the_integer_rule(data, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        CumulantSpec.from_json(data)
+
+
 def test_parse_fraction():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("5") == 5

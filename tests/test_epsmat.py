@@ -46,6 +46,21 @@ def test_make_epsilon_size_is_a_positive_integer(size, message):
         make_epsilon(size, [[0]])
 
 
+@pytest.mark.parametrize("n,rows,message", [
+    pytest.param(True, ((0,),), "size must be an integer, got True", id="size-True"),
+    pytest.param(0, (), "size must be a positive integer", id="size-0"),
+    pytest.param(3, ((1,),), "expected a 3x3 array of entries", id="shape"),
+    # the first bit check runs over every entry before the diagonal check
+    pytest.param(2, ((1, 2), (2, 0)), "entry (1,2) must be 0 or 1, got 2", id="non-bit"),
+    pytest.param(2, ((1, 1), (0, 0)), "diagonal entry (1,1) must be 0", id="diagonal"),
+    pytest.param(2, ((0, 1), (0, 0)), "matrix is not symmetric at (1,2)", id="asymmetric"),
+])
+def test_epsilon_matrix_checks_itself(n, rows, message):
+    for build in (EpsilonMatrix, make_epsilon):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build(n, rows)
+
+
 def test_ex_d_matrix_verbatim():
     eps = preset("ex-d")
     assert eps.entries == (
@@ -274,3 +289,14 @@ def test_permutation_basics():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation(3, (1, 1, 2))
+
+
+@pytest.mark.parametrize("n,images,message", [
+    pytest.param(True, (1,), "n must be an integer, got True", id="n-True"),
+    pytest.param(2, (1.0, 2), "images must be a bijection of 1..n", id="image-1.0"),
+    pytest.param(2, (True, 2), "images must be a bijection of 1..n", id="image-True"),
+    pytest.param(3, (1, 1, 2), "images must be a bijection of 1..n", id="repeated"),
+])
+def test_permutation_follows_the_integer_rule(n, images, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Permutation(n, images)

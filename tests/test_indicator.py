@@ -143,9 +143,15 @@ def inversions(pi: SetPartition) -> int:
     return sum(own[p] > own[q] for q in range(pi.k) for p in range(q))
 
 
+def block_sizes(*parts: SetPartition) -> list[int]:
+    return sorted(len(b) for part in parts for b in part.blocks)
+
+
 def test_reduction_steps_stay_within_the_proven_bound():
     # a swap lowers the inversion count by exactly one and a removal never
-    # raises it, so a trace has at most k(k-1)/2 swaps and k removals
+    # raises it, so a trace has at most k(k-1)/2 swaps and k removals; no
+    # move splits a block, so every family holding pi holds each result and
+    # each removed sigma
     eps = preset("comm", 1)
     for k in range(9):
         for pi in enumerate_partitions(k):
@@ -154,6 +160,8 @@ def test_reduction_steps_stay_within_the_proven_bound():
             for st in steps:
                 drop = inversions(before) - inversions(st.result)
                 assert drop == 1 if st.case == 2 else drop >= 0, (pi, st)
+                removed = (st.sigma,) if st.case == 1 else ()
+                assert block_sizes(before) == block_sizes(st.result, *removed), (pi, st)
                 before = st.result
             assert sum(st.case == 2 for st in steps) <= inversions(pi)
             assert len(steps) <= k * (k + 1) // 2

@@ -302,6 +302,17 @@ def test_map_refusals(call, message):
         call()
 
 
+@pytest.mark.parametrize("sizes,message", [
+    pytest.param((True, 1, 1), "n must be an integer, got True", id="n-True"),
+    pytest.param((2.0, 1, 1), "n must be an integer, got 2.0", id="n-2.0"),
+    pytest.param((2, 1.0, 1), "k_in must be an integer, got 1.0", id="k_in-1.0"),
+    pytest.param((2, 1, False), "k_out must be an integer, got False", id="k_out-False"),
+])
+def test_map_sizes_follow_the_integer_rule(sizes, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        TensorMap(*sizes)
+
+
 def test_maps_are_unhashable():
     # a class that defines __eq__ alone gets __hash__ = None
     with pytest.raises(TypeError, match=r"^unhashable type: 'TensorMap'$"):
