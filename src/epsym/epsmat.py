@@ -21,14 +21,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 Bits = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class EpsilonMatrix:
-    """A commutation pattern; :func:`make_epsilon` builds one from any rows.
+    """A commutation pattern.  Rows may come as any iterables; they are
+    stored as tuples, so a pattern is hashable and cannot change.
 
     Raises ValueError with a distinct message for each violation: wrong
     shape, non-bit entry, nonzero diagonal, broken symmetry.
@@ -41,6 +42,14 @@ class EpsilonMatrix:
         n, rows = self.n, self.entries
         if check_int("size", n) < 1:
             raise ValueError("size must be a positive integer")
+        if not isinstance(rows, Iterable):
+            raise ValueError(f"entries must be a sequence of rows, got {rows!r}")
+        rows = tuple(rows)
+        for i, r in enumerate(rows, 1):
+            if not isinstance(r, Iterable):
+                raise ValueError(f"row {i} must be a sequence of entries, got {r!r}")
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "entries", rows)  # hashable, and fixed once checked
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} array of entries")
         for i in range(n):
@@ -68,9 +77,9 @@ class EpsilonMatrix:
 
 
 def make_epsilon(n: int, entries) -> EpsilonMatrix:
-    """The n-by-n commutation pattern with these rows, as tuples; the
-    pattern checks itself."""
-    return EpsilonMatrix(n, tuple(tuple(r) for r in entries))
+    """The n-by-n commutation pattern with these rows; the pattern stores
+    them as tuples and checks itself."""
+    return EpsilonMatrix(n, entries)
 
 
 # Fixed patterns are embedded verbatim as data, never generated, so the

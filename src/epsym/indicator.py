@@ -24,10 +24,11 @@ the gated swap and often a removed sigma.
 The oracle check decides all n^k basis vectors without visiting them:
 the indicator's support is the set of labellings of the partition's
 blocks by 1..n under which every pair of crossing blocks carries
-pattern entry 1, built point by point and compared with the (k -> 0)
-result's rows: every support word must carry 1, and no other row may
-be stored.  A sampled check instead walks its drawn vectors one by one
-through the membership test.
+pattern entry 1, built point by point and compared in one step with
+the one row of the (0 -> k) map as built: every support word must
+carry 1, and no other word may be stored.  Only the public maps are
+transposed.  A sampled check instead walks its drawn vectors one by
+one through the membership test.
 
 The move choices depend only on the partition, never on the pattern or
 the family, so a trace can be reused across patterns; the pattern enters
@@ -114,14 +115,8 @@ def _reduction_steps(pi: SetPartition) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
-    """Materialise the composed step maps as one sparse (k -> end) map,
-    end = 0 for a complete trace.
-
-    Composes the adjoint from the end: each step's adjoint core (the
-    spreading map of ``sigma`` into legs p..q, or the self-adjoint gated
-    swap on legs l, l+1), in reverse step order, then transposes.  Each
-    distinct core is built once per trace."""
+def _composed(trace: AlgorithmTrace, n: int) -> TensorMap:
+    # compose_trace_map before its transpose: the (end -> k) map as built
     end = trace.steps[-1].result.k if trace.steps else trace.initial.k
     composed = TensorMap.identity(n, end)
     cores: dict[Optional[SetPartition], TensorMap] = {}  # sigma, or None: the swap
@@ -132,7 +127,18 @@ def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
             core = cores[sigma] = r_map("cross1", trace.eps, n) if sigma is None \
                 else t_pi(TwoRowPartition(0, sigma.k, sigma), n)
         composed = core.on_legs((step.l if sigma is None else step.p) - 1, composed)
-    return composed.adjoint()
+    return composed
+
+
+def compose_trace_map(trace: AlgorithmTrace, n: int) -> TensorMap:
+    """Materialise the composed step maps as one sparse (k -> end) map,
+    end = 0 for a complete trace.
+
+    Composes the adjoint from the end: each step's adjoint core (the
+    spreading map of ``sigma`` into legs p..q, or the self-adjoint gated
+    swap on legs l, l+1), in reverse step order, each distinct core built
+    once; then transposes, which only this public map needs."""
+    return _composed(trace, n).adjoint()
 
 
 def evaluate_trace(trace: AlgorithmTrace, i: Sequence[int]) -> int:
@@ -169,16 +175,21 @@ def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
     takes whole blocks, a swap keeps every block's size), so every
     intermediate partition and every removed ``sigma`` is in it too.
     """
+    trace, built = _run(pi, eps, cat, n)
+    return trace, None if built is None else built.adjoint()
+
+
+def _run(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
+         n: int) -> tuple[AlgorithmTrace, Optional[TensorMap]]:
+    # run_algorithm with its map as built, (0 -> k); the reports share it
     check_in_range("base dimension", n, 1, eps.n)
     if not cat.contains(pi):
         raise ValueError("partition is not in the requested family")
     trace = AlgorithmTrace(pi, eps, cat, _reduction_steps(pi))
-    if n ** pi.k <= MATERIALIZE_LIMIT:
-        return trace, compose_trace_map(trace, n)
-    return trace, None
+    return trace, _composed(trace, n) if n ** pi.k <= MATERIALIZE_LIMIT else None
 
 
-def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
+def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> list[Label]:
     """The words on which the indicator of ``pi`` is 1: the labellings of
     its blocks by 1..n under which every pair of crossing blocks carries
     pattern entry 1 (:attr:`SetPartition.crossing_blocks`).  Built point
@@ -203,7 +214,7 @@ def _support(pi: SetPartition, eps: EpsilonMatrix, n: int) -> set[Label]:
         else:
             words = [w + (v,) for w in words for v, row in rows
                      if all(row[w[a] - 1] == 1 for a in crossed[b])]
-    return set(words)
+    return words
 
 
 def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> CheckReport:
@@ -221,36 +232,35 @@ def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
                   sample: Optional[int] = None) -> CheckReport:
     """Compare the composed map against the combinatorial membership test.
 
-    With ``sample`` unset, all n**k basis vectors are decided at once:
-    the map must be 1 on exactly the admissible block labellings
-    (:func:`_support`) and 0 elsewhere.  A failure names the
-    lexicographically least wrong vector, with its rank in
-    lexicographic order as the number checked.  Otherwise ``sample``
-    (at least 1) vectors are drawn reproducibly from a fixed seed and
-    each is checked against :func:`in_nc_eps`.
+    The map is read as built, (0 -> k), and never transposed.  With
+    ``sample`` unset, all n**k basis vectors are decided at once: its
+    one row must be 1 on each admissible block labelling
+    (:func:`_support`) and hold nothing else.  A failure names the least
+    wrong vector, with its rank in lexicographic order as the number
+    checked.  Otherwise ``sample`` (at least 1) vectors are drawn from a
+    fixed seed and each is checked against :func:`in_nc_eps`.
     """
     check_sample(sample)
-    trace, mp = run_algorithm(pi, eps, cat, n)
+    trace, built = _run(pi, eps, cat, n)
     k = pi.k
+    row = None if built is None else built.rows.get((), {})
     if sample is None:
-        if mp is None:
+        if row is None:
             raise ValueError("space too large to enumerate; pass sample=")
-        support = _support(pi, eps, n)
-        rows, one = mp.rows, {(): 1}
-        # support words the map misses or weights wrongly, then its rows
-        # outside the support (a stored row is never zero)
-        wrong = [i for i in support if rows.get(i) != one]
-        wrong += rows.keys() - support
-        if not wrong:
+        support = dict.fromkeys(_support(pi, eps, n), 1)
+        if row == support:
             return CheckReport(True, n ** k)
+        # support words the map misses or weights wrongly, then its words
+        # outside the support (a stored value is never zero)
+        wrong = [i for i in support if row.get(i) != 1]
+        wrong += row.keys() - support.keys()
         bad = min(wrong)
         rank = 1 + sum((v - 1) * n ** (k - 1 - p) for p, v in enumerate(bad))
-        return _mismatch(pi, bad, rank, mp.scalar_at(bad, ()),
-                         1 if bad in support else 0)
+        return _mismatch(pi, bad, rank, row.get(bad, 0), support.get(bad, 0))
     rng = random.Random(0)
     for checked in range(1, sample + 1):
         i = tuple(rng.randint(1, n) for _ in range(k))
-        got = mp.scalar_at(i, ()) if mp is not None else _walk(trace, i)
+        got = row.get(i, 0) if row is not None else _walk(trace, i)
         want = 1 if in_nc_eps(pi, i, eps) else 0
         if got != want:
             return _mismatch(pi, i, checked, got, want)
@@ -264,8 +274,8 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     For every word j up to length max_k, the sum over partitions in the
     family of (value of the composed map at e_j) times the block-cumulant
     product must reproduce the moment of j restricted to the family.
-    The weights come from the tensor route: each partition's (k -> 0)
-    map lists its support as its rows, and a row on a word the
+    The weights come from the tensor route: each partition's (0 -> k)
+    map, as built, lists its support in its one row, and a word the
     partition does not refine raises in :func:`kappa_pi`'s kernel test;
     the sums run in ints, times d**k.  Every map is materialised, so
     n**max_k above the materialisation limit is refused.
@@ -277,8 +287,8 @@ def definetti_identity_report(eps: EpsilonMatrix, cat: Category,
     for k in range(max_k + 1):
         sums: dict[Label, int] = {}
         for pi in enumerate_partitions(k, cat):
-            for j, row in run_algorithm(pi, eps, cat, n)[1].rows.items():
-                sums[j] = sums.get(j, 0) + row[()] * _scaled_kappa(pi, j, rows)
+            for j, c in _run(pi, eps, cat, n)[1].rows.get((), {}).items():
+                sums[j] = sums.get(j, 0) + c * _scaled_kappa(pi, j, rows)
         for j in product(range(1, n + 1), repeat=k):
             lhs, rhs = Fraction(sums.get(j, 0), d ** k), moment(j, eps, spec, cat)
             checked += 1

@@ -228,14 +228,14 @@ def test_mpi_verify_single_partition_json(capsys):
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_mpi_verify_exits_1_on_a_wrong_map(monkeypatch, capsys, as_json):
     from epsym import indicator
-    real = indicator.run_algorithm
+    real = indicator._composed
 
-    def run(*args):
-        trace, mp = real(*args)
-        mp.rows.pop((1, 3, 1, 3))  # an admissible word under ex-f
-        return trace, mp
+    def composed(trace, n):
+        built = real(trace, n)  # (0 -> k): one row keyed by word
+        built.rows[()].pop((1, 3, 1, 3))  # an admissible word under ex-f
+        return built
 
-    monkeypatch.setattr(indicator, "run_algorithm", run)
+    monkeypatch.setattr(indicator, "_composed", composed)
     code, out, err = run_cli(capsys, "mpi", "verify", "--preset", "ex-f", "--n", "3",
                              "--partition", "{1,3}{2,4}", *(["--json"] if as_json else []))
     # (1, 3, 1, 3) is the 21st of the 3**4 words in lexicographic order

@@ -376,7 +376,8 @@ def test_reports_refuse_before_any_work(monkeypatch, report, eps, spec, max_k, m
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the refusal")
     for module, name in [(groups, "automorphism_group"), (groups, "moment"),
-                         (indicator, "run_algorithm"), (indicator, "moment")]:
+                         (indicator, "run_algorithm"), (indicator, "_run"),
+                         (indicator, "_composed"), (indicator, "moment")]:
         monkeypatch.setattr(module, name, no_work)
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         REPORTS[report](eps, spec, max_k)

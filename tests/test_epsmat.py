@@ -61,6 +61,31 @@ def test_epsilon_matrix_checks_itself(n, rows, message):
             build(n, rows)
 
 
+def test_list_rows_give_a_hashable_pattern_that_cannot_change():
+    # list rows used to pass every check, then fail hash() and stay mutable
+    rows = [[0, 1], [1, 0]]
+    for build in (EpsilonMatrix, make_epsilon):
+        eps = build(2, rows)
+        assert eps.entries == ((0, 1), (1, 0))
+        assert hash(eps) == hash(preset("comm", 2)) and eps == preset("comm", 2)
+        rows[0][1] = 0
+        assert eps[1, 2] == 1
+        rows[0][1] = 1
+
+
+@pytest.mark.parametrize("entries,message", [
+    pytest.param(5, "entries must be a sequence of rows, got 5", id="no-rows"),
+    pytest.param([1, 2], "row 1 must be a sequence of entries, got 1", id="int-rows"),
+    pytest.param([(0, 1), None], "row 2 must be a sequence of entries, got None",
+                 id="second-row"),
+])
+def test_rows_that_are_not_sequences_get_one_line(entries, message):
+    # these used to raise a bare TypeError: 'int' object is not iterable
+    for build in (EpsilonMatrix, make_epsilon):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build(2, entries)
+
+
 def test_ex_d_matrix_verbatim():
     eps = preset("ex-d")
     assert eps.entries == (

@@ -204,14 +204,15 @@ def test_sample_below_one_is_rejected(sample, message):
 ], ids=["extra-row", "lost-row"])
 def test_sampled_check_names_the_first_drawn_word_a_wrong_map_gets_wrong(
         monkeypatch, edit, checked, i, got, want):
-    pi, real = parse_partition("{1,3}{2,4}"), indicator.run_algorithm
+    pi, real = parse_partition("{1,3}{2,4}"), indicator._composed
 
-    def run(*args):
-        trace, mp = real(*args)
+    def composed(trace, n):
+        # the edit acts on the rows of the public (k -> 0) map
+        mp = real(trace, n).adjoint()
         edit(mp.rows)
-        return trace, mp
+        return mp.adjoint()
 
-    monkeypatch.setattr(indicator, "run_algorithm", run)
+    monkeypatch.setattr(indicator, "_composed", composed)
     rep = verify_oracle(pi, preset("ex-f"), Category.ALL, 3, sample=20)
     detail = f"pi={{1,3}}{{2,4}}, i={i}: map gives {got}, membership gives {want}"
     assert rep == CheckReport(False, checked, detail)
@@ -514,14 +515,35 @@ def test_full_check_reports_like_the_oracle_on_corrupted_maps(name, monkeypatch)
                 for rows in corruptions(compose(trace, n), n):
                     bad = TensorMap(n, k, 0)
                     bad.rows = rows
-                    monkeypatch.setattr(indicator, "compose_trace_map",
-                                        lambda trace, n, bad=bad: bad)
-                    rep = verify_oracle(pi, eps, Category.ALL, n)
+                    # the check reads the map as built, (0 -> k); the patch
+                    # ends before compose_trace_map builds the next map
+                    with monkeypatch.context() as m:
+                        m.setattr(indicator, "_composed",
+                                  lambda trace, n, bad=bad: bad.adjoint())
+                        rep = verify_oracle(pi, eps, Category.ALL, n)
                     want = oracles.naive_verify_oracle(pi, eps, n, bad)
                     assert not want[0]
                     assert as_tuple(rep) == want, (name, n, pi)
                     seen += 1
     assert seen > 1000
+
+
+def test_the_checks_read_the_map_as_built_without_transposing(monkeypatch):
+    # only compose_trace_map's public (k -> 0) map is transposed; its
+    # differential check is test_compose_trace_map_matches_padded_composition
+    def no_transpose(self):
+        raise AssertionError("a map was transposed")
+    monkeypatch.setattr(TensorMap, "adjoint", no_transpose)
+    eps = preset("ex-f")
+    for pi in (pi for k in range(6) for pi in enumerate_partitions(k)):
+        assert as_tuple(verify_oracle(pi, eps, Category.ALL, 3)) == (True, 3 ** pi.k, None)
+        assert as_tuple(verify_oracle(pi, eps, Category.ALL, 3, sample=50)) == \
+            (True, 50, None)
+    assert definetti_identity_report(eps, Category.PAIR, CumulantSpec.semicircle(5),
+                                     4).passed
+    # the patch is live: the public route still transposes
+    with pytest.raises(AssertionError, match="transposed"):
+        run_algorithm(parse_partition("{1,2}"), eps, Category.ALL, 3)
 
 
 # --- moment consistency through the tensor route -------------------------------
@@ -558,15 +580,18 @@ def test_definetti_names_the_first_word_a_wrong_map_weights(monkeypatch):
     refined = [j for j in product(range(1, n + 1), repeat=4)
                if j[0] == j[2] and j[1] == j[3] and j not in support]
     lost, extra = support[len(support) // 2], refined[len(refined) // 2]
-    real = indicator.run_algorithm
+    real = indicator._composed
 
     def corrupt(edit):
-        def run(pi, *args):
-            trace, mp = real(pi, *args)
-            if pi == cross:
-                edit(mp.rows)
-            return trace, mp
-        monkeypatch.setattr(indicator, "run_algorithm", run)
+        def composed(trace, n):
+            built = real(trace, n)
+            if trace.initial != cross:
+                return built
+            # the edit acts on the rows of the public (k -> 0) map
+            mp = built.adjoint()
+            edit(mp.rows)
+            return mp.adjoint()
+        monkeypatch.setattr(indicator, "_composed", composed)
 
     # one support row lost, then one extra row on a word the partition refines;
     # kappa_pi is 1 on every pair partition, so the sum moves by 1 at that word
@@ -589,7 +614,8 @@ def test_definetti_names_the_first_word_a_wrong_map_weights(monkeypatch):
 def test_definetti_refuses_words_past_the_materialisation_limit(monkeypatch):
     def no_work(*args):
         raise AssertionError("a map was built before the refusal")
-    monkeypatch.setattr(indicator, "run_algorithm", no_work)
+    for name in ("run_algorithm", "_composed"):
+        monkeypatch.setattr(indicator, name, no_work)
     assert 5 ** 9 > MATERIALIZE_LIMIT
     with pytest.raises(ValueError, match=r"^max_k = 9 is too large: 5\*\*9 words "
                                          r"exceed the limit 1000000$"):
