@@ -55,7 +55,7 @@ class EpsilonMatrix:
         for i in range(n):
             for j in range(n):
                 v = rows[i][j]
-                if v not in (0, 1):
+                if type(v) is not int or v not in (0, 1):
                     raise ValueError(f"entry ({i + 1},{j + 1}) must be 0 or 1, got {v!r}")
         for i in range(n):
             if rows[i][i] != 0:

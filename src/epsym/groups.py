@@ -19,8 +19,10 @@ Three independent views of the same pattern live here:
 A relation checker evaluates families of quadratic relations on a
 candidate fundamental matrix whose entries are exact-rational blocks.
 The quadratic families share one loop over quadruples (i, j, k, l) and
-differ only in the block that u[i,k]u[j,l] must equal.  One exact
-square-matrix product serves both the representation and the checker.
+differ only in the block that u[i,k]u[j,l] must equal.  The checker
+runs on the package's exact kernel: each block is a one-leg
+``TensorMap``.  The reflection planes stay 2x2 tuples with their own
+small product, because the benchmark's words check reads them as tuples.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial, prod
@@ -38,6 +39,7 @@ from .cumulants import CumulantSpec, check_word_loop, moment
 from .epsmat import (EpsilonMatrix, Permutation, check_in_range, memo, parse_fraction,
                      validate_index)
 from .report import CheckReport, CheckResult, SuiteReport
+from .tensormaps import TensorMap
 
 Mat = tuple[tuple[int | Fraction, ...], ...]
 
@@ -352,11 +354,15 @@ def word_equal(w1: Sequence[int], w2: Sequence[int], eps: EpsilonMatrix) -> bool
 
 @dataclass(frozen=True)
 class Representation:
-    """An n-by-n candidate fundamental matrix of d-by-d rational blocks."""
+    """An n-by-n candidate fundamental matrix of d-by-d rational blocks.
+
+    Each block is a ``TensorMap(d, 1, 1)`` whose entry ``(c,) -> (r,)``
+    holds row r, column c, so ``a @ b`` is the matrix product ab.
+    """
 
     n: int
     d: int
-    blocks: tuple[tuple[Mat, ...], ...]
+    blocks: tuple[tuple[TensorMap, ...], ...]
 
     @classmethod
     def of(cls, blocks) -> "Representation":
@@ -374,30 +380,16 @@ class Representation:
             for m in row:
                 if len(m) != d or any(len(mr) != d for mr in m):
                     raise ValueError("all blocks must share one dimension")
-        return cls(n, d, rows)
+        return cls(n, d, tuple(tuple(
+            TensorMap(d, 1, 1, (((c,), (r,), v) for r, mr in enumerate(m, 1)
+                                for c, v in enumerate(mr, 1)))
+            for m in row) for row in rows))
 
-    def entry(self, i: int, j: int) -> Mat:
+    def entry(self, i: int, j: int) -> TensorMap:
         """The block u[i,j]; both indices must lie in 1..n."""
         check_in_range("row index", i, 1, self.n)
         check_in_range("column index", j, 1, self.n)
         return self.blocks[i - 1][j - 1]
-
-    @memo
-    def _id(self) -> Mat:
-        return tuple(tuple(int(r == c) for c in range(self.d)) for r in range(self.d))
-
-    @memo
-    def _zero(self) -> Mat:
-        return ((0,) * self.d,) * self.d
-
-
-def _madd(x: Mat, y: Mat) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(xr, yr)) for xr, yr in zip(x, y))
-
-
-def _mT(x: Mat) -> Mat:
-    d = len(x)
-    return tuple(tuple(x[c][r] for c in range(d)) for r in range(d))
 
 
 def perm_representation(sigma: Permutation) -> Representation:
@@ -439,24 +431,25 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
     """
     if u.n != eps.n:
         raise ValueError("matrix size differs from pattern size")
-    n, I, Z, rows = u.n, u._id, u._zero, u.blocks
+    n, rows = u.n, u.blocks
+    I, Z = TensorMap.identity(u.d, 1), TensorMap(u.d, 1, 1)
     rng = range(1, n + 1)
 
-    def e(i: int, j: int) -> Mat:  # the loops' indices lie in 1..n
+    def e(i: int, j: int) -> TensorMap:  # the loops' indices lie in 1..n
         return rows[i - 1][j - 1]
 
-    def total(blocks) -> Mat:
-        return reduce(_madd, blocks, Z)
+    def total(blocks) -> TensorMap:
+        return sum(blocks, Z)
 
     def symmetric() -> str:
         for i, j in product(rng, rng):
-            if e(i, j) != _mT(e(i, j)):
+            if e(i, j) != e(i, j).adjoint():
                 return f"u[{i},{j}] is not symmetric"
         return ""
 
     def idempotent() -> str:
         for i, j in product(rng, rng):
-            if _mmul(e(i, j), e(i, j)) != e(i, j):
+            if e(i, j) @ e(i, j) != e(i, j):
                 return f"u[{i},{j}] is not idempotent"
         return ""
 
@@ -471,9 +464,9 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
     def orthonormal() -> str:
         for i, j in product(rng, rng):
             want = I if i == j else Z
-            if total(_mmul(e(i, k), e(j, k)) for k in rng) != want:
+            if total(e(i, k) @ e(j, k) for k in rng) != want:
                 return f"sum_k u[{i},k]u[{j},k] wrong"
-            if total(_mmul(e(k, i), e(k, j)) for k in rng) != want:
+            if total(e(k, i) @ e(k, j) for k in rng) != want:
                 return f"sum_k u[k,{i}]u[k,{j}] wrong"
         return ""
 
@@ -490,25 +483,25 @@ def rep_check(u: Representation, eps: EpsilonMatrix,
         def check() -> str:
             for i, j, k, l in product(rng, repeat=4):
                 want = rhs(i, j, k, l)
-                if want is not None and _mmul(e(i, k), e(j, l)) != want:
+                if want is not None and e(i, k) @ e(j, l) != want:
                     return message.format(i=i, j=j, k=k, l=l)
             return ""
         return check
 
     def exchanged(i, j, k, l):
         if eps[i, j] != eps[k, l]:
-            return _mmul(e(j, k), e(i, l)) if eps[i, j] else _mmul(e(i, l), e(j, k))
+            return e(j, k) @ e(i, l) if eps[i, j] else e(i, l) @ e(j, k)
 
     def summed(i, j, k, l):
         if eps[i, j] == eps[k, l]:
             return None
         if eps[i, j]:
-            return total(_mmul(e(j, m), e(i, m)) for m in rng
+            return total(e(j, m) @ e(i, m) for m in rng
                          if eps[k, m] == 0) if k == l else Z
-        return total(_mmul(e(m, l), e(m, k)) for m in rng
+        return total(e(m, l) @ e(m, k) for m in rng
                      if eps[i, m] == 0) if i == j else Z
 
-    commuting = quads(lambda i, j, k, l: _mmul(e(j, l), e(i, k))
+    commuting = quads(lambda i, j, k, l: e(j, l) @ e(i, k)
                       if eps[i, j] == eps[k, l] == 1 else None,
                       "u[{i},{k}] and u[{j},{l}] do not commute")
     # tag -> its prerequisite checks, then its own; the first message wins
@@ -537,4 +530,4 @@ def entries_commute(u: Representation, i: int, k: int, j: int, l: int) -> bool:
     """Do u[i,k] and u[j,l] commute?  Handy for noncommutativity witnesses.
     Every index must lie in 1..n."""
     a, b = u.entry(i, k), u.entry(j, l)
-    return _mmul(a, b) == _mmul(b, a)
+    return a @ b == b @ a

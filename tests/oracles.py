@@ -358,18 +358,22 @@ def naive_word_reduce(word, eps) -> tuple[int, ...]:
     return _lex_least(w, eps)
 
 
+def naive_block_product(x, y) -> tuple:
+    """The product of two square matrices given as row tuples, entry by
+    entry from the textbook sum over the inner index."""
+    d = len(x)
+    return tuple(tuple(sum(x[r][t] * y[t][c] for t in range(d)) for c in range(d))
+                 for r in range(d))
+
+
 def naive_word_blocks(rep, word) -> tuple:
     """The reflection representation's action of a word, plane by plane:
     every letter's 2x2 block is multiplied in, identities included."""
-    def mul(x, y):
-        return tuple(tuple(x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in range(2))
-                     for r in range(2))
-
     out = []
     for plane in range(len(rep.pairs)):
         m = ((1, 0), (0, 1))
         for letter in word:
-            m = mul(m, rep.gens[letter - 1][plane])
+            m = naive_block_product(m, rep.gens[letter - 1][plane])
         out.append(m)
     return tuple(out)
 

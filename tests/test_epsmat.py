@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,14 @@ def test_make_epsilon_size_is_a_positive_integer(size, message):
     pytest.param(3, ((1,),), "expected a 3x3 array of entries", id="shape"),
     # the first bit check runs over every entry before the diagonal check
     pytest.param(2, ((1, 2), (2, 0)), "entry (1,2) must be 0 or 1, got 2", id="non-bit"),
+    # entries equal to a bit but not ints used to pass, then print as
+    # text that parse_eps_text refuses
+    pytest.param(2, ((0, True), (1.0, 0)), "entry (1,2) must be 0 or 1, got True",
+                 id="bit-True"),
+    pytest.param(2, ((0, 1.0), (1.0, 0)), "entry (1,2) must be 0 or 1, got 1.0",
+                 id="bit-1.0"),
+    pytest.param(2, ((0, Fraction(1)), (1, 0)),
+                 "entry (1,2) must be 0 or 1, got Fraction(1, 1)", id="bit-Fraction"),
     pytest.param(2, ((1, 1), (0, 0)), "diagonal entry (1,1) must be 0", id="diagonal"),
     pytest.param(2, ((0, 1), (0, 0)), "matrix is not symmetric at (1,2)", id="asymmetric"),
 ])

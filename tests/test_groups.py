@@ -469,8 +469,23 @@ def test_summed_exchange_relations_on_automorphisms():
         assert report.passed
         for i, j, k, l in product(range(1, 5), repeat=4):
             if eps[i, j] == 1 and eps[k, l] == 0 and k != l:
-                prod_val = u.entry(i, k)[0][0] * u.entry(j, l)[0][0]
+                prod_val = (u.entry(i, k) @ u.entry(j, l)).scalar_at((1,), (1,))
                 assert prod_val == 0
+
+
+def test_blocks_hold_row_r_column_c_at_c_to_r():
+    # non-symmetric blocks, so a transposed kernel would multiply wrongly
+    h = Fraction(1, 2)
+    dense = [[((1, 2), (0, h)), ((0, -1), (3, 0))],
+             [((h, 0), (Fraction(-2, 3), 1)), ((0, 0), (1, 4))]]
+    u = Representation.of(dense)
+    for i, j, r, c in product((1, 2), repeat=4):
+        assert u.entry(i, j).scalar_at((c,), (r,)) == dense[i - 1][j - 1][r - 1][c - 1]
+    for i, j, k, l in product((1, 2), repeat=4):
+        want = oracles.naive_block_product(dense[i - 1][k - 1], dense[j - 1][l - 1])
+        got = u.entry(i, k) @ u.entry(j, l)
+        assert tuple(tuple(got.scalar_at((c,), (r,)) for c in (1, 2))
+                     for r in (1, 2)) == want, (i, j, k, l)
 
 
 def test_rep_check_unknown_tag():

@@ -377,8 +377,7 @@ def test_exact_results_are_stored():
     assert _stored_form(values)
     assert _stored_form(v for row in spec.kappas for v in row)
     u = projection_pair_representation()
-    assert _stored_form(v for row in u.blocks for m in row for r in m for v in r)
-    assert _stored_form(v for m in (u._id, u._zero) for r in m for v in r)
+    assert _stored_form(c for row in u.blocks for m in row for _, _, c in m.entries())
 
 
 def test_from_json_reads_like_the_cumulant_table():
