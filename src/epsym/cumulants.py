@@ -29,13 +29,12 @@ the input check that both reports over every word up to a length
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, check_int,
-                     memo, parse_fraction, stored, validate_index, validate_word)
+                     memo, parse_fraction, record, stored, validate_index, validate_word)
 from .partitions import Category, SetPartition, nc_eps_set
 
 
@@ -46,12 +45,15 @@ def _norm_row(row) -> tuple[int | Fraction, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
+@record
 class CumulantSpec:
     """Per-coordinate free cumulants kappa_1, kappa_2, ... in stored form."""
 
     n: int
     kappas: tuple[tuple[int | Fraction, ...], ...]
+
+    def __init__(self, n: int, kappas: tuple[tuple[int | Fraction, ...], ...]):
+        self.__dict__.update(n=n, kappas=kappas)
 
     @classmethod
     def of(cls, rows) -> "CumulantSpec":

@@ -12,21 +12,83 @@ shares live here, each applied once per public entry point: words and
 integer arguments, the word limit :data:`MATERIALIZE_LIMIT`, the
 exact-number format (:func:`parse_fraction` reads values from outside,
 :func:`stored` keeps an ``int`` when integral, a ``Fraction`` only when
-not) and the memoised property :class:`memo`.
+not), the memoised property :class:`memo` and the frozen value type
+:func:`record`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from operator import attrgetter
 
 Bits = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+class memo:
+    """``functools.cached_property`` without the lock that it takes on
+    every first read before Python 3.12: the first read stores the value
+    in the instance ``__dict__``, where later reads find it first."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+def record(cls: type) -> type:
+    """A frozen value type over the class's annotated fields, in order.
+
+    It gives ``==`` between instances of one class, the hash of the field
+    tuple (unless the class body sets ``__hash__``, ``None`` included),
+    a ``Name(field=value, ...)`` repr and ``__match_args__``; assigning
+    or deleting any attribute raises ``dataclasses.FrozenInstanceError``.
+    The class writes its own ``__init__``, which checks its arguments and
+    stores them with one ``self.__dict__.update``.  Unlike
+    ``dataclass(frozen=True)`` it compiles no code and needs no
+    ``dataclasses`` import, which together took half of ``import epsym``.
+    """
+    names = tuple(cls.__annotations__)
+    fields = attrgetter(*names)
+    key = fields if len(names) > 1 else lambda obj: (fields(obj),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+    cls.__eq__, cls.__repr__, cls.__match_args__ = __eq__, __repr__, names
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    if "__hash__" not in cls.__dict__:
+        cls.__hash__ = __hash__
+    return cls
+
+
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # imported on this error path only
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+@record
 class EpsilonMatrix:
     """A commutation pattern.  Rows may come as any iterables; they are
     stored as tuples, so a pattern is hashable and cannot change.
@@ -38,18 +100,16 @@ class EpsilonMatrix:
     n: int
     entries: Bits
 
-    def __post_init__(self):
-        n, rows = self.n, self.entries
+    def __init__(self, n: int, entries: Bits):
         if check_int("size", n) < 1:
             raise ValueError("size must be a positive integer")
-        if not isinstance(rows, Iterable):
-            raise ValueError(f"entries must be a sequence of rows, got {rows!r}")
-        rows = tuple(rows)
+        if not isinstance(entries, Iterable):
+            raise ValueError(f"entries must be a sequence of rows, got {entries!r}")
+        rows = tuple(entries)
         for i, r in enumerate(rows, 1):
             if not isinstance(r, Iterable):
                 raise ValueError(f"row {i} must be a sequence of entries, got {r!r}")
-        rows = tuple(map(tuple, rows))
-        object.__setattr__(self, "entries", rows)  # hashable, and fixed once checked
+        rows = tuple(map(tuple, rows))  # hashable, and fixed once checked
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} array of entries")
         for i in range(n):
@@ -64,6 +124,7 @@ class EpsilonMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
+        self.__dict__.update(n=n, entries=rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -265,33 +326,19 @@ def parse_fraction(value) -> int | Fraction:
     return stored(value)
 
 
-class memo:
-    """``functools.cached_property`` without the lock that it takes on
-    every first read before Python 3.12: the first read stores the value
-    in the instance ``__dict__``, where later reads find it first."""
-
-    def __init__(self, compute: Callable):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection of {1..n}, stored as the image sequence."""
 
     n: int
     images: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, images: tuple[int, ...]):
         # equal to 1..n once sorted, and ints: True and 1.0 equal 1
-        if sorted(self.images) != list(range(1, check_int("n", self.n) + 1)) or \
-                not set(map(type, self.images)) <= {int}:
+        if sorted(images) != list(range(1, check_int("n", n) + 1)) or \
+                not set(map(type, images)) <= {int}:
             raise ValueError("images must be a bijection of 1..n")
+        self.__dict__.update(n=n, images=images)
 
     def __call__(self, p: int) -> int:
         return self.images[p - 1]

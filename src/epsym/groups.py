@@ -28,16 +28,15 @@ small product, because the benchmark's words check reads them as tuples.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial, prod
-from typing import Iterable, Sequence
 
 from .cumulants import CumulantSpec, check_word_loop, moment
 from .epsmat import (EpsilonMatrix, Permutation, check_in_range, memo, parse_fraction,
-                     validate_index)
+                     record, validate_index)
 from .report import CheckReport, CheckResult, SuiteReport
 from .tensormaps import TensorMap
 
@@ -101,10 +100,15 @@ def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
     return PermGroup(n, tuple(found))
 
 
-@dataclass(frozen=True)
+@record
 class PermGroup:
+    """A group of permutations of {1..n}, listed in full."""
+
     n: int
     elements: tuple[Permutation, ...]
+
+    def __init__(self, n: int, elements: tuple[Permutation, ...]):
+        self.__dict__.update(n=n, elements=elements)
 
     @property
     def order(self) -> int:
@@ -211,13 +215,17 @@ def _mmul(x: Mat, y: Mat) -> Mat:
                  for r in range(d))
 
 
-@dataclass(frozen=True)
+@record
 class CoxeterRep:
     """Generators acting block-diagonally on one plane per coordinate pair."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
     gens: tuple[tuple[Mat, ...], ...]  # gens[k-1][pair index]
+
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...],
+                 gens: tuple[tuple[Mat, ...], ...]):
+        self.__dict__.update(n=n, pairs=pairs, gens=gens)
 
     def generator(self, k: int) -> tuple[Mat, ...]:
         return self.gens[k - 1]
@@ -352,17 +360,24 @@ def word_equal(w1: Sequence[int], w2: Sequence[int], eps: EpsilonMatrix) -> bool
 # ---------------------------------------------------------------------------
 # relation checking on concrete fundamental matrices
 
-@dataclass(frozen=True)
+@record
 class Representation:
     """An n-by-n candidate fundamental matrix of d-by-d rational blocks.
 
     Each block is a ``TensorMap(d, 1, 1)`` whose entry ``(c,) -> (r,)``
     holds row r, column c, so ``a @ b`` is the matrix product ab.
+    Representations compare by value but are unhashable: their blocks
+    are mutable maps.
     """
 
     n: int
     d: int
     blocks: tuple[tuple[TensorMap, ...], ...]
+
+    __hash__ = None
+
+    def __init__(self, n: int, d: int, blocks: tuple[tuple[TensorMap, ...], ...]):
+        self.__dict__.update(n=n, d=d, blocks=blocks)
 
     @classmethod
     def of(cls, blocks) -> "Representation":

@@ -38,21 +38,20 @@ through the gated swaps when the maps are materialised.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
 
 from .cumulants import CumulantSpec, _scaled_kappa, check_word_loop, moment
 from .epsmat import (MATERIALIZE_LIMIT, EpsilonMatrix, check_at_least, check_in_range,
-                     validate_word)
+                     record, validate_word)
 from .partitions import (Category, SetPartition, TwoRowPartition, enumerate_partitions,
                          find_case2_index, find_noncrossing_subpartition, in_nc_eps)
 from .report import CheckReport
 from .tensormaps import Label, TensorMap, r_map, t_pi
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     """One reduction move and the partition it produced.
 
@@ -62,10 +61,15 @@ class Step:
 
     case: int
     result: SetPartition
-    p: Optional[int] = None
-    q: Optional[int] = None
-    sigma: Optional[SetPartition] = None
-    l: Optional[int] = None
+    p: int | None
+    q: int | None
+    sigma: SetPartition | None
+    l: int | None
+
+    def __init__(self, case: int, result: SetPartition, p: int | None = None,
+                 q: int | None = None, sigma: SetPartition | None = None,
+                 l: int | None = None):
+        self.__dict__.update(case=case, result=result, p=p, q=q, sigma=sigma, l=l)
 
     def to_json(self) -> dict:
         if self.case == 1:
@@ -76,12 +80,18 @@ class Step:
                 "result": self.result.to_json(), "points": self.result.k}
 
 
-@dataclass(frozen=True)
+@record
 class AlgorithmTrace:
+    """The reduction of ``initial`` under a pattern and a family, step by step."""
+
     initial: SetPartition
     eps: EpsilonMatrix
     category: Category
     steps: tuple[Step, ...]
+
+    def __init__(self, initial: SetPartition, eps: EpsilonMatrix, category: Category,
+                 steps: tuple[Step, ...]):
+        self.__dict__.update(initial=initial, eps=eps, category=category, steps=steps)
 
     def to_json(self) -> dict:
         return {"initial": self.initial.to_json(),
@@ -119,7 +129,7 @@ def _composed(trace: AlgorithmTrace, n: int) -> TensorMap:
     # compose_trace_map before its transpose: the (end -> k) map as built
     end = trace.steps[-1].result.k if trace.steps else trace.initial.k
     composed = TensorMap.identity(n, end)
-    cores: dict[Optional[SetPartition], TensorMap] = {}  # sigma, or None: the swap
+    cores: dict[SetPartition | None, TensorMap] = {}  # sigma, or None: the swap
     for step in reversed(trace.steps):
         sigma = step.sigma
         core = cores.get(sigma)
@@ -166,7 +176,7 @@ def _walk(trace: AlgorithmTrace, cur: tuple[int, ...]) -> int:
 
 
 def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
-                  n: int) -> tuple[AlgorithmTrace, Optional[TensorMap]]:
+                  n: int) -> tuple[AlgorithmTrace, TensorMap | None]:
     """Reduce ``pi`` and compose the step maps.
 
     Returns the trace and the materialised map when n**k stays within
@@ -180,7 +190,7 @@ def run_algorithm(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
 
 
 def _run(pi: SetPartition, eps: EpsilonMatrix, cat: Category,
-         n: int) -> tuple[AlgorithmTrace, Optional[TensorMap]]:
+         n: int) -> tuple[AlgorithmTrace, TensorMap | None]:
     # run_algorithm with its map as built, (0 -> k); the reports share it
     check_in_range("base dimension", n, 1, eps.n)
     if not cat.contains(pi):
@@ -222,14 +232,14 @@ def _mismatch(pi: SetPartition, i: Label, checked: int, got, want: int) -> Check
                                        f"membership gives {want}")
 
 
-def check_sample(sample: Optional[int]) -> None:
+def check_sample(sample: int | None) -> None:
     """Refuse a sample that is not an integer of at least 1; None asks for all."""
     if sample is not None:
         check_at_least("sample", sample, 1)
 
 
 def verify_oracle(pi: SetPartition, eps: EpsilonMatrix, cat: Category, n: int,
-                  sample: Optional[int] = None) -> CheckReport:
+                  sample: int | None = None) -> CheckReport:
     """Compare the composed map against the combinatorial membership test.
 
     The map is read as built, (0 -> k), and never transposed.  With

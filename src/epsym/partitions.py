@@ -41,16 +41,15 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
-from .epsmat import (EpsilonMatrix, check_in_range, check_int, memo, validate_index,
-                     validate_word)
+from .epsmat import (EpsilonMatrix, check_in_range, check_int, memo, record,
+                     validate_index, validate_word)
 
 Block = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SetPartition:
     """A partition of {1..k} in canonical order.  Build through ``of``,
     which sorts; the constructor itself only checks."""
@@ -58,14 +57,14 @@ class SetPartition:
     k: int
     blocks: tuple[Block, ...]
 
-    def __post_init__(self):
-        blocks = self.blocks
+    def __init__(self, k: int, blocks: tuple[Block, ...]):
         if type(blocks) is not tuple or not all(type(b) is tuple for b in blocks):
             raise ValueError("blocks must be a tuple of tuples")
-        _check_points(self.k, blocks)
+        _check_points(k, blocks)
         if blocks != tuple(sorted(tuple(sorted(b)) for b in blocks)):
             raise ValueError(f"blocks {blocks} are not in canonical order: "
                              "by least point, ascending inside each")
+        self.__dict__.update(k=k, blocks=blocks)
 
     @classmethod
     def of(cls, k: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -132,7 +131,7 @@ class SetPartition:
     def is_noncrossing(self) -> bool:
         return not self.crossing_blocks
 
-    def mixed_block(self, vals: Sequence[int]) -> Optional[Block]:
+    def mixed_block(self, vals: Sequence[int]) -> Block | None:
         """The first block whose points carry more than one label of
         ``vals`` (one per point), or None when the partition refines ker vals."""
         return next((b for b in self.blocks
@@ -220,7 +219,7 @@ def _trusted(k: int, blocks: tuple[Block, ...]) -> SetPartition:
     return pi
 
 
-@dataclass(frozen=True)
+@record
 class TwoRowPartition:
     """A partition of k upper and l lower points.
 
@@ -232,12 +231,13 @@ class TwoRowPartition:
     l: int
     underlying: SetPartition
 
-    def __post_init__(self):
-        if check_int("k", self.k) < 0 or check_int("l", self.l) < 0:
-            raise ValueError(f"row sizes {self.k} and {self.l} must be nonnegative")
-        if self.k + self.l != self.underlying.k:
-            raise ValueError(f"rows of {self.k} and {self.l} points need a partition "
-                             f"of {self.k + self.l} points, not {self.underlying.k}")
+    def __init__(self, k: int, l: int, underlying: SetPartition):
+        if check_int("k", k) < 0 or check_int("l", l) < 0:
+            raise ValueError(f"row sizes {k} and {l} must be nonnegative")
+        if k + l != underlying.k:
+            raise ValueError(f"rows of {k} and {l} points need a partition "
+                             f"of {k + l} points, not {underlying.k}")
+        self.__dict__.update(k=k, l=l, underlying=underlying)
 
     @classmethod
     def of(cls, k: int, l: int, blocks: Iterable[Iterable[int]]) -> "TwoRowPartition":
@@ -254,7 +254,7 @@ class Category(enum.Enum):
     ONETWO = ("onetwo", lambda size: size in (1, 2), 2)
     EVEN = ("even", lambda size: size % 2 == 0, None)
 
-    def __new__(cls, name: str, allows: Callable[[int], bool], largest: Optional[int]):
+    def __new__(cls, name: str, allows: Callable[[int], bool], largest: int | None):
         member = object.__new__(cls)
         member._value_, member.allows, member.largest_block = name, allows, largest
         return member
@@ -431,7 +431,7 @@ def _relabelled(p: int, q: int, inside: Iterable[Block]) -> SetPartition:
 
 
 def find_noncrossing_subpartition(
-        pi: SetPartition) -> Optional[tuple[SetPartition, int, int]]:
+        pi: SetPartition) -> tuple[SetPartition, int, int] | None:
     """Block-closed interval p..q whose restriction is noncrossing.
 
     Proper intervals are preferred, leftmost then shortest, so removal
@@ -462,7 +462,7 @@ def find_noncrossing_subpartition(
     return None if crossers else (pi, 1, k)
 
 
-def find_case2_index(pi: SetPartition) -> Optional[int]:
+def find_case2_index(pi: SetPartition) -> int | None:
     """Smallest l whose legs l, l+1 sit on crossing blocks V, V' with
     min(V') < min(V).  Swapping such legs pulls the earlier block left."""
     own = pi.owner

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .epsmat import record
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """Outcome of one named identity or relation check."""
 
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -19,11 +22,14 @@ class CheckResult:
         return f"[{status}] {self.name}{tail}"
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     """A batch of named checks; passes only if every check does."""
 
     checks: tuple[CheckResult, ...]
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        self.__dict__.update(checks=checks)
 
     @property
     def passed(self) -> bool:
@@ -40,13 +46,16 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Pass/fail over an enumerated search space, with first counterexample."""
 
     passed: bool
     checked: int
-    counterexample: str | None = None
+    counterexample: str | None
+
+    def __init__(self, passed: bool, checked: int, counterexample: str | None = None):
+        self.__dict__.update(passed=passed, checked=checked, counterexample=counterexample)
 
     def line(self) -> str:
         if self.passed:

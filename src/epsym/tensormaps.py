@@ -38,9 +38,9 @@ pattern.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
 from .epsmat import EpsilonMatrix, check_in_range, check_int, parse_fraction, stored
 from .partitions import TwoRowPartition

@@ -443,6 +443,15 @@ def test_projection_pair_fails_against_wrong_pattern():
     assert not report.passed
 
 
+def test_representations_compare_by_value_but_are_unhashable():
+    u = projection_pair_representation()
+    assert u == projection_pair_representation() and u != perm_representation(
+        Permutation(4, (2, 1, 4, 3)))
+    assert Representation.__hash__ is None
+    with pytest.raises(TypeError, match=r"^unhashable type: 'Representation'$"):
+        hash(u)
+
+
 def test_permutation_matrices_pass_relations():
     for name, eps in [("ex-d", preset("ex-d")), ("ex-f", preset("ex-f")),
                       ("comm4", preset("comm", 4))]:
