@@ -49,9 +49,6 @@ def _norm_row(row) -> tuple[int | Fraction, ...]:
 class CumulantSpec:
     """Per-coordinate free cumulants kappa_1, kappa_2, ... in stored form."""
 
-    n: int
-    kappas: tuple[tuple[int | Fraction, ...], ...]
-
     def __init__(self, n: int, kappas: tuple[tuple[int | Fraction, ...], ...]):
         self.__dict__.update(n=n, kappas=kappas)
 

@@ -13,7 +13,7 @@ integer arguments, the word limit :data:`MATERIALIZE_LIMIT`, the
 exact-number format (:func:`parse_fraction` reads values from outside,
 :func:`stored` keeps an ``int`` when integral, a ``Fraction`` only when
 not), the memoised property :class:`memo` and the frozen value type
-:func:`record`.
+:func:`record`, whose fields are its constructor's parameters, in order.
 """
 
 from __future__ import annotations
@@ -43,18 +43,21 @@ class memo:
 
 
 def record(cls: type) -> type:
-    """A frozen value type over the class's annotated fields, in order.
+    """A frozen value type whose fields are its constructor's parameters,
+    in order.
 
-    It gives ``==`` between instances of one class, the hash of the field
-    tuple (unless the class body sets ``__hash__``, ``None`` included),
-    a ``Name(field=value, ...)`` repr and ``__match_args__``; assigning
-    or deleting any attribute raises ``dataclasses.FrozenInstanceError``.
     The class writes its own ``__init__``, which checks its arguments and
-    stores them with one ``self.__dict__.update``.  Unlike
-    ``dataclass(frozen=True)`` it compiles no code and needs no
-    ``dataclasses`` import, which together took half of ``import epsym``.
+    stores them with one ``self.__dict__.update``; the field names are
+    read from it once, here.  It gives ``==`` between instances of one
+    class, the hash of the field tuple (unless the class body sets
+    ``__hash__``, ``None`` included), a ``Name(field=value, ...)`` repr
+    and ``__match_args__``; assigning or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``.  Unlike ``dataclass(frozen=True)``
+    it compiles no code and needs no ``dataclasses`` import, which
+    together took half of ``import epsym``.
     """
-    names = tuple(cls.__annotations__)
+    init = cls.__init__.__code__
+    names = init.co_varnames[1:init.co_argcount]
     fields = attrgetter(*names)
     key = fields if len(names) > 1 else lambda obj: (fields(obj),)
 
@@ -96,9 +99,6 @@ class EpsilonMatrix:
     Raises ValueError with a distinct message for each violation: wrong
     shape, non-bit entry, nonzero diagonal, broken symmetry.
     """
-
-    n: int
-    entries: Bits
 
     def __init__(self, n: int, entries: Bits):
         if check_int("size", n) < 1:
@@ -330,13 +330,13 @@ def parse_fraction(value) -> int | Fraction:
 class Permutation:
     """A bijection of {1..n}, stored as the image sequence."""
 
-    n: int
-    images: tuple[int, ...]
-
-    def __init__(self, n: int, images: tuple[int, ...]):
-        # equal to 1..n once sorted, and ints: True and 1.0 equal 1
-        if sorted(images) != list(range(1, check_int("n", n) + 1)) or \
-                not set(map(type, images)) <= {int}:
+    def __init__(self, n: int, images: Iterable[int]):
+        if not isinstance(images, Iterable):
+            raise ValueError(f"images must be a sequence of integers, got {images!r}")
+        images = tuple(images)  # hashable, and a generator is read once
+        # ints, as True and 1.0 equal 1, and equal to 1..n once sorted
+        if not set(map(type, images)) <= {int} or \
+                sorted(images) != list(range(1, check_int("n", n) + 1)):
             raise ValueError("images must be a bijection of 1..n")
         self.__dict__.update(n=n, images=images)
 

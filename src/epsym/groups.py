@@ -104,9 +104,6 @@ def automorphism_group(eps: EpsilonMatrix) -> "PermGroup":
 class PermGroup:
     """A group of permutations of {1..n}, listed in full."""
 
-    n: int
-    elements: tuple[Permutation, ...]
-
     def __init__(self, n: int, elements: tuple[Permutation, ...]):
         self.__dict__.update(n=n, elements=elements)
 
@@ -217,11 +214,8 @@ def _mmul(x: Mat, y: Mat) -> Mat:
 
 @record
 class CoxeterRep:
-    """Generators acting block-diagonally on one plane per coordinate pair."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-    gens: tuple[tuple[Mat, ...], ...]  # gens[k-1][pair index]
+    """Generators acting block-diagonally on one plane per coordinate pair:
+    ``gens[k-1][i]`` is generator k's 2x2 block on plane ``pairs[i]``."""
 
     def __init__(self, n: int, pairs: tuple[tuple[int, int], ...],
                  gens: tuple[tuple[Mat, ...], ...]):
@@ -360,6 +354,12 @@ def word_equal(w1: Sequence[int], w2: Sequence[int], eps: EpsilonMatrix) -> bool
 # ---------------------------------------------------------------------------
 # relation checking on concrete fundamental matrices
 
+def _seq(what: str, value) -> Iterable:
+    if not isinstance(value, Iterable) or isinstance(value, str):  # "1/2" is one entry
+        raise ValueError(f"{what} must be a sequence, got {value!r}")
+    return value
+
+
 @record
 class Representation:
     """An n-by-n candidate fundamental matrix of d-by-d rational blocks.
@@ -370,10 +370,6 @@ class Representation:
     are mutable maps.
     """
 
-    n: int
-    d: int
-    blocks: tuple[tuple[TensorMap, ...], ...]
-
     __hash__ = None
 
     def __init__(self, n: int, d: int, blocks: tuple[tuple[TensorMap, ...], ...]):
@@ -381,8 +377,10 @@ class Representation:
 
     @classmethod
     def of(cls, blocks) -> "Representation":
-        rows = tuple(tuple(tuple(tuple(map(parse_fraction, r)) for r in m) for m in row)
-                     for row in blocks)
+        rows = tuple(tuple(tuple(tuple(map(parse_fraction, _seq("block row", r)))
+                                 for r in _seq("block", m))
+                           for m in _seq("block-matrix row", row))
+                     for row in _seq("block matrix", blocks))
         n = len(rows)
         if not n:
             raise ValueError("block matrix must have at least one row")

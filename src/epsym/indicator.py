@@ -59,13 +59,6 @@ class Step:
     p..q; case 2 swaps the legs on l and l+1.
     """
 
-    case: int
-    result: SetPartition
-    p: int | None
-    q: int | None
-    sigma: SetPartition | None
-    l: int | None
-
     def __init__(self, case: int, result: SetPartition, p: int | None = None,
                  q: int | None = None, sigma: SetPartition | None = None,
                  l: int | None = None):
@@ -83,11 +76,6 @@ class Step:
 @record
 class AlgorithmTrace:
     """The reduction of ``initial`` under a pattern and a family, step by step."""
-
-    initial: SetPartition
-    eps: EpsilonMatrix
-    category: Category
-    steps: tuple[Step, ...]
 
     def __init__(self, initial: SetPartition, eps: EpsilonMatrix, category: Category,
                  steps: tuple[Step, ...]):

@@ -54,9 +54,6 @@ class SetPartition:
     """A partition of {1..k} in canonical order.  Build through ``of``,
     which sorts; the constructor itself only checks."""
 
-    k: int
-    blocks: tuple[Block, ...]
-
     def __init__(self, k: int, blocks: tuple[Block, ...]):
         if type(blocks) is not tuple or not all(type(b) is tuple for b in blocks):
             raise ValueError("blocks must be a tuple of tuples")
@@ -143,7 +140,9 @@ class SetPartition:
         return self.mixed_block(other.owner) is None
 
     def _split(self, p: int, q: int) -> tuple[list[Block], list[Block]]:
-        """The blocks inside and outside the block-closed interval p..q."""
+        """The blocks inside and outside the block-closed interval p..q of 1..k."""
+        check_in_range("p", p, 1, self.k)
+        check_in_range("q", q, p, self.k)
         inside, outside = [], []
         for b in self.blocks:
             if b[0] >= p and b[-1] <= q:
@@ -208,14 +207,11 @@ def _check_points(k: int, blocks: Sequence[Block]) -> None:
         raise ValueError(f"points {missing} not covered")
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
 def _trusted(k: int, blocks: tuple[Block, ...]) -> SetPartition:
     """A partition from blocks already known to be canonical, unchecked."""
-    pi = _new(SetPartition)
-    _set(pi, "k", k)
-    _set(pi, "blocks", blocks)
+    pi = object.__new__(SetPartition)
+    pi.__dict__["k"] = k
+    pi.__dict__["blocks"] = blocks
     return pi
 
 
@@ -226,10 +222,6 @@ class TwoRowPartition:
     Points 1..k are the upper row read left to right, points k+1..k+l
     the lower row.
     """
-
-    k: int
-    l: int
-    underlying: SetPartition
 
     def __init__(self, k: int, l: int, underlying: SetPartition):
         if check_int("k", k) < 0 or check_int("l", l) < 0:
@@ -374,13 +366,7 @@ def _grow(vals: Sequence[int], rows: Sequence[Sequence[int]],
     if cat is not Category.ALL and not all(map(cat.allows, range(1, min(cap, k) + 1))):
         allowed = [cat.allows(size) for size in range(k + 1)]
         placed = [bs for bs in placed if all(allowed[len(b)] for b in bs)]
-    out = []
-    for bs in placed:  # _trusted, inlined: this loop runs once per partition
-        pi = _new(SetPartition)
-        _set(pi, "k", k)
-        _set(pi, "blocks", bs)
-        out.append(pi)
-    return out
+    return [_trusted(k, bs) for bs in placed]
 
 
 def _walk(choices: Sequence[tuple[tuple[Block, ...], int, int, Sequence[int]]], j: int,

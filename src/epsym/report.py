@@ -9,10 +9,6 @@ from .epsmat import record
 class CheckResult:
     """Outcome of one named identity or relation check."""
 
-    name: str
-    passed: bool
-    detail: str
-
     def __init__(self, name: str, passed: bool, detail: str = ""):
         self.__dict__.update(name=name, passed=passed, detail=detail)
 
@@ -25,8 +21,6 @@ class CheckResult:
 @record
 class SuiteReport:
     """A batch of named checks; passes only if every check does."""
-
-    checks: tuple[CheckResult, ...]
 
     def __init__(self, checks: tuple[CheckResult, ...]):
         self.__dict__.update(checks=checks)
@@ -49,10 +43,6 @@ class SuiteReport:
 @record
 class CheckReport:
     """Pass/fail over an enumerated search space, with first counterexample."""
-
-    passed: bool
-    checked: int
-    counterexample: str | None
 
     def __init__(self, passed: bool, checked: int, counterexample: str | None = None):
         self.__dict__.update(passed=passed, checked=checked, counterexample=counterexample)

@@ -70,8 +70,8 @@ class TensorMap:
         """Add ``c``, read by ``parse_fraction``, to the coefficient at (i, j)."""
         if len(i) != self.k_in or len(j) != self.k_out:
             raise ValueError("label length does not match the degree")
-        if any(not 1 <= v <= self.n for v in i + j):
-            raise ValueError("label entry outside 1..n")
+        if any(type(v) is not int or not 1 <= v <= self.n for v in i + j):
+            raise ValueError("label entries must be integers in 1..n")
         c = parse_fraction(c)
         if c == 0:
             return
@@ -196,24 +196,12 @@ class TensorMap:
                 out.add_entry(i, j, c * v)
         return out
 
-    # -- constructors and serialisation -----------------------------------
+    # -- constructors -----------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, k: int) -> "TensorMap":
         out = cls(n, k, k)
         out.rows = {i: {i: 1} for i in product(range(1, n + 1), repeat=k)}
-        return out
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k_in": self.k_in, "k_out": self.k_out,
-                "entries": [{"in": list(i), "out": list(j), "c": str(c)}
-                            for i, j, c in self.entries()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TensorMap":
-        out = cls(data["n"], data["k_in"], data["k_out"])
-        for e in data["entries"]:
-            out.add_entry(tuple(e["in"]), tuple(e["out"]), e["c"])
         return out
 
 

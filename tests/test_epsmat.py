@@ -334,3 +334,14 @@ def test_permutation_rejects_non_bijection():
 def test_permutation_follows_the_integer_rule(n, images, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         Permutation(n, images)
+
+
+def test_permutation_stores_its_images_as_a_tuple():
+    # a stored list would make hash() raise TypeError; a generator is read once
+    s = Permutation(2, [2, 1])
+    assert s.images == (2, 1) and hash(s) == hash(Permutation(2, (2, 1)))
+    assert Permutation(3, (p for p in (3, 1, 2))).images == (3, 1, 2)
+    with pytest.raises(ValueError, match=r"^images must be a sequence of integers, got 5$"):
+        Permutation(1, 5)
+    with pytest.raises(ValueError, match=r"^images must be a bijection of 1\.\.n$"):
+        Permutation(2, ("a", 1))

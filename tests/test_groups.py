@@ -550,6 +550,19 @@ def test_representation_rejects_misshapen_blocks(blocks, message):
         Representation.of(blocks)
 
 
+@pytest.mark.parametrize("blocks,message", [
+    pytest.param(5, "block matrix must be a sequence, got 5", id="number"),
+    pytest.param([5], "block-matrix row must be a sequence, got 5", id="row-number"),
+    pytest.param([[1]], "block must be a sequence, got 1", id="block-number"),
+    pytest.param([[[1, 2]]], "block row must be a sequence, got 1", id="block-row-number"),
+    pytest.param(["1"], "block-matrix row must be a sequence, got '1'", id="row-string"),
+    pytest.param([[["1/2"]]], "block row must be a sequence, got '1/2'", id="block-row-string"),
+])
+def test_representation_rejects_non_sequences(blocks, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Representation.of(blocks)
+
+
 def test_permutations_compose_only_at_one_size():
     with pytest.raises(ValueError, match=r"^size mismatch$"):
         Permutation.identity(2).compose(Permutation.identity(3))

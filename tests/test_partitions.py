@@ -545,6 +545,24 @@ def test_restrict_and_remove_interval_share_one_split():
             cut(2, 4)
 
 
+@pytest.mark.parametrize("text,p,q,message", [
+    pytest.param("{1,2}", 0, 5, "p must lie in 1..2", id="0..5"),
+    pytest.param("{1}{2}", 3, 4, "p must lie in 1..2", id="past-the-end"),
+    pytest.param("{1,2}", 1, 3, "q must lie in 1..2", id="1..3"),
+    pytest.param("{1}{2}", 2, 1, "q must lie in 2..2", id="reversed"),
+    pytest.param("{1,2}", 1, 1.5, "q must be an integer, got 1.5", id="q-1.5"),
+    pytest.param("{1,2}", True, 2, "p must be an integer, got True", id="p-True"),
+    pytest.param("", 1, 1, "p must lie in 1..0", id="empty"),
+])
+def test_intervals_lie_inside_the_partition(text, p, q, message):
+    # both build through the unchecked _trusted, so an interval outside
+    # 1..k would give an invalid partition, such as k=6 or k=-4
+    pi = P(text)
+    for cut in (pi.restrict, pi.remove_interval):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            cut(p, q)
+
+
 @given(rgs_partitions(max_k=7, min_k=1))
 def test_removal_preserves_families(pi):
     found = find_noncrossing_subpartition(pi)

@@ -92,6 +92,13 @@ def test_the_samples_cover_every_record():
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_the_field_list_lives_in_the_constructor_alone(cls):
+    # a class-level annotation would be a second copy of the field list
+    assert inspect.get_annotations(cls) == {}
+    assert cls.__match_args__ == tuple(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
 def test_record_matches_its_frozen_dataclass_twin(cls):
     dc = twin(cls)
     objs = SAMPLES[cls]
